@@ -512,27 +512,6 @@ pub mod queue {
             Ok(())
         }
 
-        /// Enqueues a batch of jobs atomically: either every job is
-        /// admitted or none are, so a micro-batching window flushed as
-        /// one unit cannot be half-shed. Never blocks; refusals return
-        /// the whole batch. An empty batch is a no-op `Ok`.
-        pub fn try_push_all(&self, jobs: Vec<T>) -> Result<(), (Vec<T>, PushError)> {
-            if jobs.is_empty() {
-                return Ok(());
-            }
-            let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            if inner.closed {
-                return Err((jobs, PushError::Closed));
-            }
-            if inner.jobs.len() + jobs.len() > self.capacity || fire(FaultSite::QueueOverflow) {
-                return Err((jobs, PushError::Full));
-            }
-            inner.jobs.extend(jobs);
-            drop(inner);
-            self.ready.notify_all();
-            Ok(())
-        }
-
         /// Re-enqueues a job at the *front* of the queue, bypassing the
         /// capacity bound. For supervisors returning a job recovered
         /// from a dead worker: the job was already admitted once, so it
@@ -724,26 +703,6 @@ mod tests {
             other => panic!("expected Closed, got {other:?}"),
         }
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn try_push_all_is_all_or_none() {
-        let q = queue::BoundedQueue::new(4);
-        assert!(q.try_push_all(vec![1, 2]).is_ok());
-        // Three more would exceed the capacity: the whole batch bounces.
-        match q.try_push_all(vec![3, 4, 5]) {
-            Err((batch, queue::PushError::Full)) => assert_eq!(batch, vec![3, 4, 5]),
-            other => panic!("expected Full with the batch back, got {other:?}"),
-        }
-        assert_eq!(q.len(), 2, "a refused batch admits nothing");
-        assert!(q.try_push_all(vec![3, 4]).is_ok());
-        assert_eq!(q.drain(), vec![1, 2, 3, 4]);
-        assert!(q.try_push_all(Vec::new()).is_ok(), "empty batch is a no-op");
-        q.close();
-        match q.try_push_all(vec![9]) {
-            Err((batch, queue::PushError::Closed)) => assert_eq!(batch, vec![9]),
-            other => panic!("expected Closed, got {other:?}"),
-        }
     }
 
     #[test]

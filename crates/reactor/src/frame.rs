@@ -1,10 +1,11 @@
 //! Incremental frame assembly and writeback for the serve wire format.
 //!
 //! A frame is `[version: u8][len: u32 big-endian][payload: len bytes]`.
-//! The blocking protocol code in `gnnmls-serve` reads a whole frame per
-//! call; a reactor cannot — bytes arrive whenever the socket feels like
-//! it, and a response may only partially fit the send buffer. These two
-//! state machines carry a connection across any split:
+//! A reactor cannot read a whole frame per call — bytes arrive whenever
+//! the socket feels like it, and a response may only partially fit the
+//! send buffer. These two state machines carry a connection across any
+//! split (the blocking reader in `gnnmls-serve` drives the same decoder,
+//! asking for [`FrameDecoder::needed`] bytes at a time):
 //!
 //! - [`FrameDecoder`] accumulates bytes and yields complete payloads.
 //!   It validates eagerly: a foreign version byte is refused as soon as
@@ -168,6 +169,26 @@ impl FrameDecoder {
         Ok(Some(payload))
     }
 
+    /// Bytes the frame at the head of the buffer still needs before
+    /// [`next_frame`](Self::next_frame) can yield it: the rest of the
+    /// header, then the rest of the payload. A blocking reader asks for
+    /// exactly this many so it never consumes the next frame's bytes.
+    /// Call it after `next_frame` returned `Ok(None)`; a complete frame
+    /// still buffered needs 0.
+    pub fn needed(&self) -> usize {
+        let avail = self.buffered();
+        if avail < FRAME_HEADER_LEN {
+            return FRAME_HEADER_LEN - avail;
+        }
+        let len = u32::from_be_bytes([
+            self.buf[self.pos + 1],
+            self.buf[self.pos + 2],
+            self.buf[self.pos + 3],
+            self.buf[self.pos + 4],
+        ]) as usize;
+        (FRAME_HEADER_LEN + len).saturating_sub(avail)
+    }
+
     /// Whether a partial frame is buffered (the peer started one and
     /// has not finished it). This is what arms a stall deadline.
     pub fn mid_frame(&self) -> bool {
@@ -287,6 +308,22 @@ mod tests {
         }
         assert!(!dec.mid_frame(), "buffer empty after the frame");
         assert_eq!(dec.buffered(), 0);
+    }
+
+    #[test]
+    fn needed_counts_down_the_header_then_the_payload() {
+        let frame = encode_frame(V, &[5u8; 12]);
+        let mut dec = FrameDecoder::new(V, MAX);
+        assert_eq!(dec.needed(), FRAME_HEADER_LEN);
+        dec.extend_from_slice(&frame[..3]);
+        assert_eq!(dec.needed(), 2, "rest of the header");
+        dec.extend_from_slice(&frame[3..8]);
+        assert!(dec.next_frame().unwrap().is_none());
+        assert_eq!(dec.needed(), 9, "rest of the payload");
+        dec.extend_from_slice(&frame[8..]);
+        assert_eq!(dec.needed(), 0);
+        assert_eq!(dec.next_frame().unwrap().as_deref(), Some(&[5u8; 12][..]));
+        assert_eq!(dec.needed(), FRAME_HEADER_LEN, "back to a fresh header");
     }
 
     #[test]

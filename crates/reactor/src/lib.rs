@@ -19,8 +19,9 @@
 //!   oversized frame the moment the header completes — it never
 //!   buffers an attacker-controlled length.
 //! - [`TimerWheel`] — a hashed timer wheel with slot-granularity
-//!   coalescing. Stall deadlines, retry backoffs, and micro-batching
-//!   windows all live here instead of in per-connection threads.
+//!   coalescing. Stall deadlines, drain-refusal grace periods, retry
+//!   backoffs and forward deadlines all live here instead of in
+//!   per-connection threads.
 //! - [`Waker`] — a self-pipe (socketpair) waker so worker threads can
 //!   hand completed responses back to the loop.
 //! - [`net`] — nonblocking `connect` (for backend forwards multiplexed
@@ -30,7 +31,7 @@
 //! Everything here is transport-layer only: the crate moves bytes and
 //! deadlines, it never parses JSON or knows what a request is. The
 //! serve crate layers protocol semantics (typed errors, admission,
-//! batching policy) on top.
+//! forwarding) on top.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]

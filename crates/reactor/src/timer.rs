@@ -1,10 +1,9 @@
 //! A hashed timer wheel with slot-granularity coalescing.
 //!
 //! The serve loop needs thousands of cheap, coarse timers: per-
-//! connection stall deadlines, retry backoffs, micro-batching windows.
-//! A wheel quantizes every deadline up to its slot granularity, so
-//! timers landing in the same slot fire together on one wakeup —
-//! exactly the coalescing behavior a batching window wants, and never
+//! connection stall deadlines, retry backoffs, forward deadlines. A
+//! wheel quantizes every deadline up to its slot granularity, so timers
+//! landing in the same slot fire together on one wakeup, and never
 //! *early* (a deadline is always rounded up).
 //!
 //! Keys are caller-chosen `u64`s (the serve loop tags them with a
@@ -33,8 +32,8 @@ pub struct TimerWheel {
 
 impl TimerWheel {
     /// A wheel with the given slot granularity and slot count. The
-    /// granularity is the coalescing quantum — 1ms is a good default
-    /// for connection stalls; a micro-batching loop may want finer.
+    /// granularity is the coalescing quantum — 1ms suits connection
+    /// stalls and retry backoffs.
     pub fn new(granularity: Duration, slots: usize) -> Self {
         let slots = slots.max(1);
         Self {
@@ -172,7 +171,7 @@ mod tests {
     #[test]
     fn same_slot_timers_coalesce_into_one_wakeup() {
         // 1ms granularity: deadlines 100µs apart land in the same slot
-        // and fire together — the micro-batching window contract.
+        // and fire together — the coalescing contract.
         let mut w = wheel_ms(64);
         let t0 = Instant::now();
         for k in 0..8u64 {

@@ -11,9 +11,10 @@
 //! builds warm exactly once cluster-wide and a cluster answer is
 //! bit-identical to the single-daemon answer for the same request.
 //!
-//! The I/O plane is one readiness-driven reactor thread (the same
-//! `gnnmls-reactor` loop the single daemon runs): client connections
-//! and backend shard connections are multiplexed on one poller, each
+//! The I/O plane is one readiness-driven reactor thread running the
+//! same client plane as the single daemon: the front supplies only its
+//! dispatch (forward or broadcast), its `Health` report, and its
+//! backend shard connections, which share the plane's poller. Each
 //! forward is a nonblocking session with its own timer-wheel deadline,
 //! and retries are timer events rather than sleeping threads. A shard
 //! dying mid-forward surfaces as a typed failover reason on the loop —
@@ -57,13 +58,12 @@
 //! tears after the request frame is written).
 
 use std::collections::{HashMap, HashSet};
-use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -72,29 +72,24 @@ use gnn_mls::session::ValidationError;
 use gnnmls_faults::{fire, FaultSite};
 use gnnmls_par::rng::splitmix64;
 use gnnmls_reactor::net::{connect_nonblocking, connect_outcome};
-use gnnmls_reactor::{
-    wake_pair, FrameDecoder, Interest, Poller, TimerWheel, WakeReceiver, WriteQueue,
-};
+use gnnmls_reactor::{Event, FrameDecoder, Interest, WriteQueue};
 use serde::{Deserialize, Serialize};
 
 use crate::client::RetryPolicy;
+use crate::plane::{lock, Completions, Plane, PlaneConfig, Tier, TAG_MASK};
 use crate::protocol::{
     decode_payload, encode_msg, read_frame_idle, write_frame, FrameError, HealthStatus,
     QuarantineInfo, Request, RequestKind, Response, ResponseKind, ServerStats, MAX_FRAME,
     PROTOCOL_VERSION,
 };
 use crate::ring::HashRing;
-use crate::server::Completions;
+use crate::server::builder_setters;
 
 /// Stage name of the merged drain checkpoint envelope.
 pub const CLUSTER_STATS_STAGE: &str = "cluster-stats";
 
 /// Schema version of [`ClusterStats`].
 pub const CLUSTER_STATS_SCHEMA: u32 = 1;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Front-tier configuration. Defaults are production-ish; tests tighten
 /// the timing knobs. Construct directly or go through
@@ -180,19 +175,6 @@ impl ClusterConfig {
     }
 }
 
-macro_rules! cluster_builder_setters {
-    ($($(#[$doc:meta])* $name:ident: $ty:ty),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            #[must_use]
-            pub fn $name(mut self, $name: $ty) -> Self {
-                self.cfg.$name = $name;
-                self
-            }
-        )*
-    };
-}
-
 /// Checked builder for [`ClusterConfig`] (see [`ClusterConfig::builder`]).
 #[derive(Clone, Debug)]
 pub struct ClusterConfigBuilder {
@@ -200,7 +182,7 @@ pub struct ClusterConfigBuilder {
 }
 
 impl ClusterConfigBuilder {
-    cluster_builder_setters! {
+    builder_setters! {
         /// Front bind address (`:0` picks a port).
         addr: String,
         /// Mid-frame stall timeout for client connections, ms.
@@ -562,14 +544,25 @@ impl ClusterShared {
     }
 }
 
-/// Reads one response with an absolute deadline. The socket carries a
-/// short read-timeout slice; the closure turns "still nothing at the
-/// deadline" into a typed stall instead of blocking forever.
-fn read_response_deadline(
-    stream: &mut TcpStream,
-    deadline: Instant,
+/// One blocking request/response exchange with a shard on a fresh
+/// connection: connect and write within `timeout`, then wait up to
+/// `answer_within` for the answer. The socket carries a short
+/// read-timeout slice; "still nothing at the deadline" is a typed stall
+/// instead of a reader blocked forever. Probes, `LoadModel` broadcasts
+/// and the drain use this; the hot forward path lives on the reactor.
+fn exchange(
+    addr: SocketAddr,
+    req: &Request,
+    timeout: Duration,
+    answer_within: Duration,
 ) -> Result<Response, FrameError> {
-    match read_frame_idle(stream, || Instant::now() < deadline)? {
+    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    let _ = stream.set_write_timeout(Some(timeout));
+    write_frame(&mut stream, req)?;
+    let deadline = Instant::now() + answer_within;
+    match read_frame_idle(&mut stream, || Instant::now() < deadline)? {
         Some(resp) => Ok(resp),
         None => Err(FrameError::Stalled),
     }
@@ -578,16 +571,7 @@ fn read_response_deadline(
 /// One health probe against a shard. `Ok` only when the daemon answers
 /// a `Health` request with `ready`.
 fn probe_health(addr: SocketAddr, timeout: Duration) -> bool {
-    let Ok(mut stream) = TcpStream::connect_timeout(&addr, timeout) else {
-        return false;
-    };
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let _ = stream.set_write_timeout(Some(timeout));
-    if write_frame(&mut stream, &Request::health(0)).is_err() {
-        return false;
-    }
-    match read_response_deadline(&mut stream, Instant::now() + timeout) {
+    match exchange(addr, &Request::health(0), timeout, timeout) {
         Ok(resp) => resp.kind == ResponseKind::Ok && resp.health.map(|h| h.ready).unwrap_or(false),
         Err(_) => false,
     }
@@ -725,30 +709,6 @@ fn relay(shared: &ClusterShared, resp: Response, answered_by: u16, primary: u16)
     resp
 }
 
-/// One blocking request/response exchange on a fresh connection, used
-/// only by the `LoadModel` broadcast helper threads — the hot forward
-/// path lives on the reactor.
-fn broadcast_exchange(
-    shared: &ClusterShared,
-    target: u16,
-    req: &Request,
-) -> Result<Response, FrameError> {
-    let addr = shared.shard(target).addr;
-    let connect_timeout = Duration::from_millis(shared.cfg.probe_timeout_ms.max(1));
-    let mut stream = TcpStream::connect_timeout(&addr, connect_timeout).map_err(|_| {
-        FrameError::Io(std::io::Error::new(
-            ErrorKind::ConnectionRefused,
-            format!("shard {target} unreachable"),
-        ))
-    })?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let _ = stream.set_write_timeout(Some(connect_timeout));
-    write_frame(&mut stream, req)?;
-    let deadline = Instant::now() + Duration::from_millis(shared.cfg.forward_timeout_ms.max(1));
-    read_response_deadline(&mut stream, deadline)
-}
-
 /// Broadcasts a `LoadModel` to every shard and merges the answers: the
 /// roll is `Ok` only when every shard that answered swapped
 /// successfully (the first refusal is relayed verbatim, annotated with
@@ -757,10 +717,12 @@ fn broadcast_exchange(
 /// built-in models until the next broadcast, which is exactly what its
 /// empty state serves anyway.
 fn broadcast_load_model(shared: &ClusterShared, req: &Request) -> Response {
+    let timeout = Duration::from_millis(shared.cfg.probe_timeout_ms.max(1));
+    let answer_within = Duration::from_millis(shared.cfg.forward_timeout_ms.max(1));
     let mut swapped: Option<Response> = None;
     let mut unreachable = 0u64;
     for shard in &shared.shards {
-        match broadcast_exchange(shared, shard.id, req) {
+        match exchange(shard.addr, req, timeout, answer_within) {
             Ok(resp) if resp.id == req.id => {
                 shared.record_shard_success(shard.id);
                 if resp.kind == ResponseKind::Ok {
@@ -808,65 +770,15 @@ fn broadcast_load_model(shared: &ClusterShared, req: &Request) -> Response {
     }
 }
 
-/// Timer-key namespace tags (high byte) so one wheel serves every
-/// purpose without collisions: connection tokens and forward ids both
-/// stay below 2^56.
-const TAG_MASK: u64 = !((1u64 << 56) - 1);
-/// A client connection stalled mid-frame.
-const TAG_STALL: u64 = 1 << 56;
-/// A connection accepted during the drain owes its typed refusal.
-const TAG_REFUSE: u64 = 2 << 56;
-/// A forward's backoff expired: run the next attempt.
+/// A forward's backoff expired: run the next attempt. (Tags 1 and 2
+/// belong to the client plane.)
 const TAG_RETRY: u64 = 3 << 56;
 /// A forward attempt's per-attempt deadline expired.
 const TAG_DEADLINE: u64 = 4 << 56;
 
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-const TOKEN_FIRST_CONN: u64 = 2;
-
-/// Write backpressure: reading from a client pauses while its unsent
-/// responses exceed this many bytes (the peer is not draining).
-const WRITE_HIGH_WATER: usize = 1 << 20;
-
-/// How long a connection accepted during a drain may idle before the
-/// typed refusal goes out even without a request frame.
-const DRAIN_REFUSE_MS: u64 = 500;
-
 /// How long the drain waits for in-flight forwards and broadcasts
 /// before abandoning them.
 const DRAIN_FORWARD_GRACE_MS: u64 = 30_000;
-
-/// One client connection's state on the front reactor.
-struct FrontConn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    writes: WriteQueue,
-    interest: Interest,
-    /// Forwards (and broadcasts) running on behalf of this connection,
-    /// not yet answered.
-    inflight: usize,
-    /// Accepted while draining: the first frame (or a timer) gets a
-    /// typed refusal and nothing is served.
-    refusing: bool,
-    /// Stop serving; close once the write queue drains and no forward
-    /// is in flight.
-    closing: bool,
-}
-
-impl FrontConn {
-    fn new(stream: TcpStream) -> Self {
-        Self {
-            stream,
-            decoder: FrameDecoder::new(PROTOCOL_VERSION, MAX_FRAME),
-            writes: WriteQueue::new(),
-            interest: Interest::READABLE,
-            inflight: 0,
-            refusing: false,
-            closing: false,
-        }
-    }
-}
 
 /// One nonblocking backend connection, multiplexing every concurrent
 /// forward to its shard. The reactor shard answers out of order, so
@@ -910,339 +822,61 @@ struct Forward {
     policy: RetryPolicy,
 }
 
-/// The front's readiness-driven I/O plane: one thread owning every
-/// client socket, every backend socket, every forward deadline and
-/// retry timer.
-struct FrontReactor {
+/// The front's side of the client plane: every backend socket, every
+/// forward with its deadline and retry timers, and `LoadModel`
+/// broadcasts.
+struct FrontTier {
     shared: Arc<ClusterShared>,
-    completions: Arc<Completions>,
-    listener: TcpListener,
-    poller: Poller,
-    timers: TimerWheel,
-    wake_rx: WakeReceiver,
-    clients: HashMap<u64, FrontConn>,
     backends: HashMap<u64, BackendConn>,
     /// Live backend connection per shard id.
     by_shard: HashMap<u16, u64>,
     forwards: HashMap<u64, Forward>,
-    /// Shared token namespace for client and backend sockets.
-    next_token: u64,
     /// Wire ids for forwards; 0 is reserved for connection notices.
     next_fwd: u64,
+    /// When the drain stops waiting for in-flight forwards and
+    /// broadcasts; set once the drain starts.
+    drain_deadline: Option<Instant>,
 }
 
-impl FrontReactor {
-    fn run(&mut self) {
-        let mut events = Vec::new();
-        let mut fired: Vec<u64> = Vec::new();
-        let mut drain_deadline: Option<Instant> = None;
-        loop {
-            if self.shared.accept_stop.load(Ordering::SeqCst) {
-                // Let in-flight forwards and broadcasts finish (the
-                // drain contract), but never wait forever on a wedged
-                // shard.
-                let dl = *drain_deadline.get_or_insert_with(|| {
-                    Instant::now() + Duration::from_millis(DRAIN_FORWARD_GRACE_MS)
-                });
-                let idle = self.forwards.is_empty()
-                    && self.shared.inflight_broadcasts.load(Ordering::SeqCst) == 0;
-                if idle || Instant::now() >= dl {
-                    self.final_flush();
-                    return;
-                }
-            }
-            // Cap the sleep so a lost wakeup can only ever delay — not
-            // deadlock — a drain.
-            let timeout = self
-                .timers
-                .next_deadline()
-                .map_or(Duration::from_millis(500), |dl| {
-                    dl.saturating_duration_since(Instant::now())
-                })
-                .min(Duration::from_millis(500));
-            events.clear();
-            let _ = self.poller.wait(&mut events, Some(timeout));
-            for ev in &events {
-                let (token, readable, writable, hangup) =
-                    (ev.token, ev.readable, ev.writable, ev.hangup);
-                match token {
-                    TOKEN_LISTENER => self.on_accept(),
-                    TOKEN_WAKER => {
-                        self.wake_rx.drain();
-                        self.deliver_completions();
-                    }
-                    _ if self.backends.contains_key(&token) => {
-                        self.on_backend_event(token, readable, writable, hangup);
-                    }
-                    _ => self.on_client_event(token, readable, writable, hangup),
-                }
-            }
-            fired.clear();
-            self.timers.pop_expired(Instant::now(), &mut fired);
-            for &key in &fired {
-                self.on_timer(key);
-            }
-        }
+impl Tier for FrontTier {
+    fn running(&self) -> bool {
+        self.shared.running.load(Ordering::SeqCst)
     }
 
-    fn on_accept(&mut self) {
-        loop {
-            let stream = match self.listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            };
-            if stream.set_nonblocking(true).is_err() {
-                continue;
-            }
-            let _ = stream.set_nodelay(true);
-            let token = self.next_token;
-            self.next_token += 1;
-            let mut conn = FrontConn::new(stream);
-            if self
-                .poller
-                .register(conn.stream.as_raw_fd(), token, Interest::READABLE)
-                .is_err()
-            {
-                continue;
-            }
-            if !self.shared.running.load(Ordering::SeqCst) {
-                // Draining: wait (bounded) for the client's first frame
-                // and answer it with a typed refusal — refusing before
-                // the client writes would race a TCP reset that
-                // discards the refusal before the client reads it.
-                conn.refusing = true;
-                self.clients.insert(token, conn);
-                self.timers
-                    .schedule_after(TAG_REFUSE | token, Duration::from_millis(DRAIN_REFUSE_MS));
-                continue;
-            }
-            if self.clients.len() >= self.shared.cfg.max_connections.max(1) {
-                gnnmls_obs::counter_add("gnnmls_cluster_conn_limited_total", &[], 1);
-                conn.closing = true;
-                self.clients.insert(token, conn);
-                self.send_client(token, &Response::busy(0));
-                continue;
-            }
-            self.clients.insert(token, conn);
-        }
+    fn begin_shutdown(&self) {
+        self.shared.begin_shutdown();
     }
 
-    /// Answers with a typed stall notice and closes — the reactor's
-    /// rendering of the old mid-frame read timeout.
-    fn stall_out(&mut self, token: u64) {
-        if let Some(conn) = self.clients.get_mut(&token) {
-            conn.closing = true;
+    /// Lets in-flight forwards and broadcasts finish (the drain
+    /// contract), but never waits forever on a wedged shard.
+    fn finished(&mut self) -> bool {
+        if !self.shared.accept_stop.load(Ordering::SeqCst) {
+            return false;
         }
-        self.send_client(token, &Response::error(0, FrameError::Stalled));
+        let dl = *self
+            .drain_deadline
+            .get_or_insert_with(|| Instant::now() + Duration::from_millis(DRAIN_FORWARD_GRACE_MS));
+        let idle =
+            self.forwards.is_empty() && self.shared.inflight_broadcasts.load(Ordering::SeqCst) == 0;
+        idle || Instant::now() >= dl
     }
 
-    /// Encodes and queues one response on a client, then flushes as
-    /// much as the socket accepts. A gone connection swallows the
-    /// response.
-    fn send_client(&mut self, token: u64, resp: &Response) {
-        let Some(conn) = self.clients.get_mut(&token) else {
-            return;
-        };
-        match encode_msg(resp) {
-            Ok(frame) => conn.writes.push(frame),
-            Err(_) => {
-                self.close_client(token);
-                return;
-            }
-        }
-        self.flush_client(token);
+    fn health(&self) -> HealthStatus {
+        self.shared.health()
     }
 
-    fn flush_client(&mut self, token: u64) {
-        let flushed = {
-            let Some(conn) = self.clients.get_mut(&token) else {
-                return;
-            };
-            conn.writes.flush_to(&mut conn.stream)
-        };
-        match flushed {
-            Ok(_) => self.settle_client(token),
-            Err(_) => self.close_client(token),
-        }
-    }
-
-    /// Closes a finished client or re-syncs its poll interest.
-    fn settle_client(&mut self, token: u64) {
-        let Some(conn) = self.clients.get(&token) else {
-            return;
-        };
-        if conn.closing && conn.writes.is_empty() && conn.inflight == 0 {
-            self.close_client(token);
-        } else {
-            self.update_client_interest(token);
-        }
-    }
-
-    fn update_client_interest(&mut self, token: u64) {
-        let Some(conn) = self.clients.get_mut(&token) else {
-            return;
-        };
-        let want = Interest {
-            readable: !conn.closing && conn.writes.buffered() < WRITE_HIGH_WATER,
-            writable: !conn.writes.is_empty(),
-        };
-        if want.readable != conn.interest.readable || want.writable != conn.interest.writable {
-            let fd = conn.stream.as_raw_fd();
-            if self.poller.modify(fd, token, want).is_err() {
-                self.close_client(token);
-                return;
-            }
-            conn.interest = want;
-        }
-    }
-
-    fn close_client(&mut self, token: u64) {
-        if let Some(conn) = self.clients.remove(&token) {
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            self.timers.cancel(TAG_STALL | token);
-            self.timers.cancel(TAG_REFUSE | token);
-        }
-    }
-
-    fn on_client_event(&mut self, token: u64, readable: bool, writable: bool, hangup: bool) {
-        if writable {
-            self.flush_client(token);
-        }
-        if readable {
-            self.on_client_readable(token);
-        }
-        if hangup && !readable {
-            self.close_client(token);
-        }
-    }
-
-    fn on_client_readable(&mut self, token: u64) {
-        let budget = self.shared.cfg.read_budget.max(1);
-        let eof = {
-            let Some(conn) = self.clients.get_mut(&token) else {
-                return;
-            };
-            if conn.closing || conn.writes.buffered() >= WRITE_HIGH_WATER {
-                return;
-            }
-            match conn.decoder.fill_from(&mut conn.stream, budget) {
-                Ok((_, eof)) => eof,
-                Err(_) => {
-                    self.close_client(token);
-                    return;
-                }
-            }
-        };
-        loop {
-            let (payload, refusing) = {
-                let Some(conn) = self.clients.get_mut(&token) else {
-                    return;
-                };
-                if conn.closing {
-                    break;
-                }
-                match conn.decoder.next_frame() {
-                    Ok(Some(payload)) => (payload, conn.refusing),
-                    Ok(None) => break,
-                    Err(e) => {
-                        conn.closing = true;
-                        self.send_client(token, &Response::error(0, FrameError::from(e)));
-                        break;
-                    }
-                }
-            };
-            if refusing {
-                self.refuse(token);
-            } else {
-                self.handle_payload(token, &payload);
-            }
-        }
-        if eof {
-            let truncated = {
-                let Some(conn) = self.clients.get_mut(&token) else {
-                    return;
-                };
-                let truncated = conn.decoder.mid_frame() && !conn.refusing && !conn.closing;
-                conn.closing = true;
-                truncated
-            };
-            if truncated {
-                self.send_client(token, &Response::error(0, FrameError::Truncated));
-            }
-        }
-        // Stall deadline: armed only while a frame is partially read —
-        // an idle connection between frames never times out.
-        let Some(conn) = self.clients.get(&token) else {
-            return;
-        };
-        let (mid, closing) = (conn.decoder.mid_frame(), conn.closing);
-        if mid && !closing {
-            self.timers.schedule_after(
-                TAG_STALL | token,
-                Duration::from_millis(self.shared.cfg.read_timeout_ms.max(1)),
-            );
-        } else {
-            self.timers.cancel(TAG_STALL | token);
-        }
-        self.settle_client(token);
-    }
-
-    /// Sends the typed drain refusal on a connection accepted while the
-    /// front is shutting down.
-    fn refuse(&mut self, token: u64) {
-        self.timers.cancel(TAG_REFUSE | token);
-        if let Some(conn) = self.clients.get_mut(&token) {
-            conn.closing = true;
-        }
-        gnnmls_obs::counter_add("gnnmls_cluster_drain_refused_total", &[], 1);
-        self.send_client(
-            token,
-            &Response::rejected(0, "cluster front is draining; connection refused"),
-        );
-    }
-
-    /// Front-level dispatch for one decoded client frame. Shutdown,
-    /// Health and Metrics are answered on the loop; a `LoadModel`
-    /// broadcast runs on a helper thread (it must land on every shard,
-    /// and a slow shard must not stall routing); everything else starts
-    /// a nonblocking forward.
-    fn handle_payload(&mut self, token: u64, payload: &[u8]) {
-        let req: Request = match decode_payload(payload) {
-            Ok(req) => req,
-            Err(e) => {
-                // Frame-aligned despite the bad payload: typed error,
-                // keep the connection.
-                self.send_client(token, &Response::error(0, e));
-                return;
-            }
-        };
+    /// A `LoadModel` broadcast runs on a helper thread (it must land on
+    /// every shard, and a slow shard must not stall routing);
+    /// everything else starts a nonblocking forward.
+    fn dispatch(&mut self, plane: &mut Plane, token: u64, req: Request) {
         match req.kind {
-            RequestKind::Shutdown => {
-                if let Some(conn) = self.clients.get_mut(&token) {
-                    conn.closing = true;
-                }
-                self.send_client(token, &Response::ok(req.id));
-                self.shared.begin_shutdown();
-            }
-            RequestKind::Health => {
-                let resp = Response::ok(req.id).with_health(self.shared.health());
-                self.send_client(token, &resp);
-            }
-            RequestKind::Metrics => {
-                let resp = Response::ok(req.id).with_metrics(gnn_mls::api::metrics());
-                self.send_client(token, &resp);
-            }
             RequestKind::LoadModel => {
-                if let Some(conn) = self.clients.get_mut(&token) {
-                    conn.inflight += 1;
-                }
+                plane.hold(token);
                 self.shared
                     .inflight_broadcasts
                     .fetch_add(1, Ordering::SeqCst);
                 let shared = Arc::clone(&self.shared);
-                let completions = Arc::clone(&self.completions);
+                let completions = Arc::clone(plane.completions());
                 std::thread::spawn(move || {
                     let resp = broadcast_load_model(&shared, &req);
                     lock(&completions.ready).push((token, resp));
@@ -1250,37 +884,49 @@ impl FrontReactor {
                     completions.waker.wake();
                 });
             }
-            _ => self.start_forward(token, req),
+            _ => self.start_forward(plane, token, req),
         }
     }
 
-    /// Broadcast (and any other off-loop) responses coming home through
-    /// the completion queue.
-    fn deliver_completions(&mut self) {
-        let ready = std::mem::take(&mut *lock(&self.completions.ready));
-        for (token, resp) in ready {
-            self.deliver_to_client(token, resp);
+    fn on_event(&mut self, plane: &mut Plane, ev: Event) -> bool {
+        if !self.backends.contains_key(&ev.token) {
+            return false;
         }
+        self.on_backend_event(plane, ev);
+        true
     }
 
-    /// Hands a finished response to the client that asked and settles
-    /// the connection (a closing client whose last answer just left is
-    /// reaped here).
-    fn deliver_to_client(&mut self, token: u64, resp: Response) {
-        if let Some(conn) = self.clients.get_mut(&token) {
-            conn.inflight = conn.inflight.saturating_sub(1);
+    fn on_timer(&mut self, plane: &mut Plane, key: u64) {
+        let id = key & !TAG_MASK;
+        match key & TAG_MASK {
+            TAG_RETRY => self.attempt_forward(plane, id),
+            TAG_DEADLINE => {
+                // Over-deadline: forget the pending id on its backend
+                // (a late answer is dropped by id — the connection
+                // itself stays up and synchronized) and fail over.
+                let target = self.forwards.get(&id).map(|f| f.target);
+                if let Some(target) = target {
+                    if let Some(&btoken) = self.by_shard.get(&target) {
+                        if let Some(b) = self.backends.get_mut(&btoken) {
+                            b.pending.remove(&id);
+                        }
+                    }
+                    self.fail_attempt(plane, id, REASON_STALL, FrameError::Stalled.to_string());
+                }
+            }
+            _ => {}
         }
-        self.send_client(token, &resp);
-        self.settle_client(token);
     }
+}
 
+impl FrontTier {
     /// Routes one request: primary first, deterministic secondary on
     /// failure, bounded seeded-jitter retries as timer events.
-    fn start_forward(&mut self, token: u64, req: Request) {
+    fn start_forward(&mut self, plane: &mut Plane, token: u64, req: Request) {
         self.shared.counters.requests.fetch_add(1, Ordering::SeqCst);
         let key = req.spec.cache_key();
         let Some(primary) = self.shared.ring.primary(key) else {
-            self.send_client(token, &Response::error(req.id, "cluster has no shards"));
+            plane.send(token, &Response::error(req.id, "cluster has no shards"));
             return;
         };
         let secondary = self.shared.ring.secondary(key);
@@ -1293,9 +939,7 @@ impl FrontReactor {
         let attempts = policy.max_attempts;
         let fwd_id = self.next_fwd;
         self.next_fwd += 1;
-        if let Some(conn) = self.clients.get_mut(&token) {
-            conn.inflight += 1;
-        }
+        plane.hold(token);
         self.forwards.insert(
             fwd_id,
             Forward {
@@ -1313,14 +957,14 @@ impl FrontReactor {
                 policy,
             },
         );
-        self.attempt_forward(fwd_id);
+        self.attempt_forward(plane, fwd_id);
     }
 
     /// Runs one forward attempt: breaker pre-check picks the target,
     /// the frame (with its id rewritten to the forward id) goes onto
     /// the shard's nonblocking connection, and the per-attempt deadline
     /// is armed.
-    fn attempt_forward(&mut self, fwd_id: u64) {
+    fn attempt_forward(&mut self, plane: &mut Plane, fwd_id: u64) {
         let Some((prefer, primary, secondary)) = self
             .forwards
             .get(&fwd_id)
@@ -1356,8 +1000,13 @@ impl FrontReactor {
         if let Some(f) = self.forwards.get_mut(&fwd_id) {
             f.target = target;
         }
-        let Some(btoken) = self.ensure_backend(target) else {
-            self.fail_attempt(fwd_id, REASON_CONN, format!("shard {target} unreachable"));
+        let Some(btoken) = self.ensure_backend(plane, target) else {
+            self.fail_attempt(
+                plane,
+                fwd_id,
+                REASON_CONN,
+                format!("shard {target} unreachable"),
+            );
             return;
         };
         let frame = {
@@ -1372,7 +1021,7 @@ impl FrontReactor {
                 Ok(frame) => frame,
                 Err(e) => {
                     let why = e.to_string();
-                    self.fail_attempt(fwd_id, REASON_CONN, why);
+                    self.fail_attempt(plane, fwd_id, REASON_CONN, why);
                     return;
                 }
             }
@@ -1381,7 +1030,7 @@ impl FrontReactor {
             b.writes.push(frame);
             b.pending.insert(fwd_id);
         }
-        self.flush_backend(btoken);
+        self.flush_backend(plane, btoken);
         // The flush may have torn the connection down and already
         // failed this attempt over.
         let still_pending = self
@@ -1398,7 +1047,11 @@ impl FrontReactor {
             if let Some(b) = self.backends.get(&btoken) {
                 let _ = b.stream.shutdown(std::net::Shutdown::Both);
             }
-            self.backend_failed(btoken, "injected front\u{2194}shard connection reset");
+            self.backend_failed(
+                plane,
+                btoken,
+                "injected front\u{2194}shard connection reset",
+            );
             return;
         }
         // Deterministic seam: the shard holds the answer past the
@@ -1407,10 +1060,10 @@ impl FrontReactor {
             if let Some(b) = self.backends.get_mut(&btoken) {
                 b.pending.remove(&fwd_id);
             }
-            self.fail_attempt(fwd_id, REASON_STALL, FrameError::Stalled.to_string());
+            self.fail_attempt(plane, fwd_id, REASON_STALL, FrameError::Stalled.to_string());
             return;
         }
-        self.timers.schedule_after(
+        plane.timers.schedule_after(
             TAG_DEADLINE | fwd_id,
             Duration::from_millis(self.shared.cfg.forward_timeout_ms.max(1)),
         );
@@ -1420,8 +1073,8 @@ impl FrontReactor {
     /// breaker, flip the preference to the other shard (counting the
     /// failover reason when leaving the primary), and schedule the next
     /// attempt.
-    fn fail_attempt(&mut self, fwd_id: u64, reason: &'static str, last: String) {
-        self.timers.cancel(TAG_DEADLINE | fwd_id);
+    fn fail_attempt(&mut self, plane: &mut Plane, fwd_id: u64, reason: &'static str, last: String) {
+        plane.timers.cancel(TAG_DEADLINE | fwd_id);
         let Some((target, primary, secondary)) = self.forwards.get_mut(&fwd_id).map(|f| {
             f.last = last;
             (f.target, f.primary, f.secondary)
@@ -1442,12 +1095,12 @@ impl FrontReactor {
                 f.prefer = alt;
             }
         }
-        self.next_attempt(fwd_id);
+        self.next_attempt(plane, fwd_id);
     }
 
     /// Books the finished attempt and either schedules the retry timer
     /// (honoring a `retry_after_ms` floor) or gives up.
-    fn next_attempt(&mut self, fwd_id: u64) {
+    fn next_attempt(&mut self, plane: &mut Plane, fwd_id: u64) {
         let delay = {
             let Some(f) = self.forwards.get_mut(&fwd_id) else {
                 return;
@@ -1460,15 +1113,16 @@ impl FrontReactor {
             }
         };
         match delay {
-            None => self.give_up(fwd_id),
+            None => self.give_up(plane, fwd_id),
             Some(ms) => {
-                self.timers
+                plane
+                    .timers
                     .schedule_after(TAG_RETRY | fwd_id, Duration::from_millis(ms));
             }
         }
     }
 
-    fn give_up(&mut self, fwd_id: u64) {
+    fn give_up(&mut self, plane: &mut Plane, fwd_id: u64) {
         let Some(f) = self.forwards.remove(&fwd_id) else {
             return;
         };
@@ -1488,12 +1142,12 @@ impl FrontReactor {
                 f.attempts, f.last
             ),
         );
-        self.deliver_to_client(f.client, resp);
+        plane.deliver(f.client, &resp);
     }
 
     /// A typed shard answer ends the forward: restore the client's id,
     /// run the relay accounting, deliver.
-    fn complete_forward(&mut self, fwd_id: u64, resp: Response) {
+    fn complete_forward(&mut self, plane: &mut Plane, fwd_id: u64, resp: Response) {
         let Some(f) = self.forwards.remove(&fwd_id) else {
             return;
         };
@@ -1502,7 +1156,7 @@ impl FrontReactor {
             ..resp
         };
         let resp = relay(&self.shared, resp, f.target, f.primary);
-        self.deliver_to_client(f.client, resp);
+        plane.deliver(f.client, &resp);
     }
 
     /// One decoded response frame from a backend. Id 0 is a
@@ -1510,10 +1164,10 @@ impl FrontReactor {
     /// stream) and fails every pending forward on this connection over;
     /// any other id is matched to its forward — or dropped as a late
     /// answer for an attempt that already failed over.
-    fn on_backend_response(&mut self, btoken: u64, resp: Response) {
+    fn on_backend_response(&mut self, plane: &mut Plane, btoken: u64, resp: Response) {
         if resp.id == 0 {
             let why = resp.error.unwrap_or_else(|| "connection notice".into());
-            self.backend_failed(btoken, &why);
+            self.backend_failed(plane, btoken, &why);
             return;
         }
         let fwd_id = resp.id;
@@ -1524,7 +1178,7 @@ impl FrontReactor {
         if !known || !self.forwards.contains_key(&fwd_id) {
             return;
         }
-        self.timers.cancel(TAG_DEADLINE | fwd_id);
+        plane.timers.cancel(TAG_DEADLINE | fwd_id);
         let Some((target, primary, secondary, attempt, attempts)) = self
             .forwards
             .get(&fwd_id)
@@ -1541,7 +1195,7 @@ impl FrontReactor {
                     f.last = "busy".into();
                     f.prefer = target;
                 }
-                self.next_attempt(fwd_id);
+                self.next_attempt(plane, fwd_id);
             }
             ResponseKind::Quarantined if attempt + 1 < attempts => {
                 // The spec's circuit is open on this shard. The
@@ -1570,31 +1224,31 @@ impl FrontReactor {
                         }
                     }
                 }
-                self.next_attempt(fwd_id);
+                self.next_attempt(plane, fwd_id);
             }
-            _ => self.complete_forward(fwd_id, resp),
+            _ => self.complete_forward(plane, fwd_id, resp),
         }
     }
 
     /// Tears down a backend connection and fails every pending forward
     /// over with a typed reason — the reactor guarantee that a shard
     /// dying mid-forward never strands a request (or a thread).
-    fn backend_failed(&mut self, btoken: u64, why: &str) {
+    fn backend_failed(&mut self, plane: &mut Plane, btoken: u64, why: &str) {
         let Some(conn) = self.backends.remove(&btoken) else {
             return;
         };
-        let _ = self.poller.deregister(conn.stream.as_raw_fd());
+        let _ = plane.poller.deregister(conn.stream.as_raw_fd());
         if self.by_shard.get(&conn.shard) == Some(&btoken) {
             self.by_shard.remove(&conn.shard);
         }
         for fwd_id in conn.pending {
-            self.fail_attempt(fwd_id, REASON_CONN, why.to_string());
+            self.fail_attempt(plane, fwd_id, REASON_CONN, why.to_string());
         }
     }
 
     /// The live connection to a shard, opening one (nonblocking) when
     /// none exists. `None` when the connect cannot even start.
-    fn ensure_backend(&mut self, shard: u16) -> Option<u64> {
+    fn ensure_backend(&mut self, plane: &mut Plane, shard: u16) -> Option<u64> {
         if let Some(&btoken) = self.by_shard.get(&shard) {
             if self.backends.contains_key(&btoken) {
                 return Some(btoken);
@@ -1604,9 +1258,8 @@ impl FrontReactor {
         let addr = self.shared.shard(shard).addr;
         let stream = connect_nonblocking(addr).ok()?;
         let _ = stream.set_nodelay(true);
-        let btoken = self.next_token;
-        self.next_token += 1;
-        if self
+        let btoken = plane.next_token();
+        if plane
             .poller
             .register(stream.as_raw_fd(), btoken, Interest::BOTH)
             .is_err()
@@ -1629,7 +1282,13 @@ impl FrontReactor {
         Some(btoken)
     }
 
-    fn on_backend_event(&mut self, btoken: u64, readable: bool, writable: bool, hangup: bool) {
+    fn on_backend_event(&mut self, plane: &mut Plane, ev: Event) {
+        let Event {
+            token: btoken,
+            readable,
+            writable,
+            hangup,
+        } = ev;
         let connecting = self.backends.get(&btoken).is_some_and(|b| b.connecting);
         if connecting && (writable || hangup) {
             let outcome = self
@@ -1643,24 +1302,24 @@ impl FrontReactor {
                     }
                 }
                 Some(Err(e)) => {
-                    self.backend_failed(btoken, &format!("shard connect failed: {e}"));
+                    self.backend_failed(plane, btoken, &format!("shard connect failed: {e}"));
                     return;
                 }
                 None => return,
             }
         }
         if writable {
-            self.flush_backend(btoken);
+            self.flush_backend(plane, btoken);
         }
         if readable {
-            self.backend_readable(btoken);
+            self.backend_readable(plane, btoken);
         }
         if hangup && !readable {
-            self.backend_failed(btoken, "connection reset");
+            self.backend_failed(plane, btoken, "connection reset");
         }
     }
 
-    fn flush_backend(&mut self, btoken: u64) {
+    fn flush_backend(&mut self, plane: &mut Plane, btoken: u64) {
         let flushed = {
             let Some(b) = self.backends.get_mut(&btoken) else {
                 return;
@@ -1674,12 +1333,12 @@ impl FrontReactor {
             }
         };
         match flushed {
-            Ok(_) => self.update_backend_interest(btoken),
-            Err(e) => self.backend_failed(btoken, &format!("frame io: {e}")),
+            Ok(_) => self.update_backend_interest(plane, btoken),
+            Err(e) => self.backend_failed(plane, btoken, &format!("frame io: {e}")),
         }
     }
 
-    fn update_backend_interest(&mut self, btoken: u64) {
+    fn update_backend_interest(&mut self, plane: &mut Plane, btoken: u64) {
         let modify = {
             let Some(b) = self.backends.get_mut(&btoken) else {
                 return;
@@ -1696,13 +1355,13 @@ impl FrontReactor {
             }
         };
         if let Some((fd, want)) = modify {
-            if self.poller.modify(fd, btoken, want).is_err() {
-                self.backend_failed(btoken, "poller modify failed");
+            if plane.poller.modify(fd, btoken, want).is_err() {
+                self.backend_failed(plane, btoken, "poller modify failed");
             }
         }
     }
 
-    fn backend_readable(&mut self, btoken: u64) {
+    fn backend_readable(&mut self, plane: &mut Plane, btoken: u64) {
         let budget = self.shared.cfg.read_budget.max(1);
         let filled: Result<bool, String> = {
             let Some(b) = self.backends.get_mut(&btoken) else {
@@ -1716,7 +1375,7 @@ impl FrontReactor {
         let eof = match filled {
             Ok(eof) => eof,
             Err(why) => {
-                self.backend_failed(btoken, &why);
+                self.backend_failed(plane, btoken, &why);
                 return;
             }
         };
@@ -1729,91 +1388,21 @@ impl FrontReactor {
             };
             match frame {
                 Ok(Some(payload)) => match decode_payload::<Response>(&payload) {
-                    Ok(resp) => self.on_backend_response(btoken, resp),
+                    Ok(resp) => self.on_backend_response(plane, btoken, resp),
                     Err(e) => {
-                        self.backend_failed(btoken, &e.to_string());
+                        self.backend_failed(plane, btoken, &e.to_string());
                         return;
                     }
                 },
                 Ok(None) => break,
                 Err(e) => {
-                    self.backend_failed(btoken, &FrameError::from(e).to_string());
+                    self.backend_failed(plane, btoken, &FrameError::from(e).to_string());
                     return;
                 }
             }
         }
         if eof {
-            self.backend_failed(btoken, &FrameError::Closed.to_string());
-        }
-    }
-
-    fn on_timer(&mut self, key: u64) {
-        let id = key & !TAG_MASK;
-        match key & TAG_MASK {
-            TAG_STALL => {
-                let stalled = self
-                    .clients
-                    .get(&id)
-                    .is_some_and(|c| c.decoder.mid_frame() && !c.closing);
-                if stalled {
-                    self.stall_out(id);
-                }
-            }
-            TAG_REFUSE => {
-                let waiting = self
-                    .clients
-                    .get(&id)
-                    .is_some_and(|c| c.refusing && !c.closing);
-                if waiting {
-                    self.refuse(id);
-                }
-            }
-            TAG_RETRY => self.attempt_forward(id),
-            TAG_DEADLINE => {
-                // Over-deadline: forget the pending id on its backend
-                // (a late answer is dropped by id — the connection
-                // itself stays up and synchronized) and fail over.
-                let target = self.forwards.get(&id).map(|f| f.target);
-                if let Some(target) = target {
-                    if let Some(&btoken) = self.by_shard.get(&target) {
-                        if let Some(b) = self.backends.get_mut(&btoken) {
-                            b.pending.remove(&id);
-                        }
-                    }
-                    self.fail_attempt(id, REASON_STALL, FrameError::Stalled.to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Post-drain epilogue: deliver what the broadcast threads owe,
-    /// flush every client socket under a bounded grace period, then
-    /// drop everything (closing all fds).
-    fn final_flush(&mut self) {
-        let grace = Instant::now() + Duration::from_secs(2);
-        let mut events = Vec::new();
-        loop {
-            self.wake_rx.drain();
-            self.deliver_completions();
-            let owed: Vec<u64> = self
-                .clients
-                .iter()
-                .filter(|(_, c)| !c.writes.is_empty())
-                .map(|(&t, _)| t)
-                .collect();
-            for token in owed {
-                self.flush_client(token);
-            }
-            let done = self.clients.values().all(|c| c.writes.is_empty())
-                && lock(&self.completions.ready).is_empty();
-            if done || Instant::now() >= grace {
-                return;
-            }
-            events.clear();
-            let _ = self
-                .poller
-                .wait(&mut events, Some(Duration::from_millis(20)));
+            self.backend_failed(plane, btoken, &FrameError::Closed.to_string());
         }
     }
 }
@@ -1911,9 +1500,21 @@ impl ClusterFront {
             }
         }
 
-        let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
+        let plane = Plane::bind(
+            &cfg.addr,
+            PlaneConfig {
+                max_connections: cfg.max_connections,
+                read_budget: cfg.read_budget,
+                read_timeout_ms: cfg.read_timeout_ms,
+                conn_limited_metric: "gnnmls_cluster_conn_limited_total",
+                drain_refused_metric: "gnnmls_cluster_drain_refused_total",
+                refusal: "cluster front is draining; connection refused",
+                loop_metrics: None,
+                stall_seam: None,
+            },
+        )?;
+        let local_addr = plane.local_addr()?;
+        let completions = Arc::clone(plane.completions());
         let ring = HashRing::new(shards.iter().map(|s| s.id));
         let shared = Arc::new(ClusterShared {
             cfg,
@@ -1924,32 +1525,15 @@ impl ClusterFront {
             inflight_broadcasts: AtomicU64::new(0),
             counters: ClusterCounters::default(),
         });
-
-        let (waker, wake_rx) = wake_pair()?;
-        let completions = Arc::new(Completions {
-            ready: Mutex::new(Vec::new()),
-            waker,
-        });
-        let mut poller = Poller::new()?;
-        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
-        poller.register(wake_rx.raw_fd(), TOKEN_WAKER, Interest::READABLE)?;
-        let mut reactor = FrontReactor {
+        let tier = FrontTier {
             shared: Arc::clone(&shared),
-            completions: Arc::clone(&completions),
-            listener,
-            poller,
-            // 1ms granularity: retry backoffs and forward deadlines are
-            // millisecond-scale; 512 slots keep the sweep cheap.
-            timers: TimerWheel::new(Duration::from_millis(1), 512),
-            wake_rx,
-            clients: HashMap::new(),
             backends: HashMap::new(),
             by_shard: HashMap::new(),
             forwards: HashMap::new(),
-            next_token: TOKEN_FIRST_CONN,
             next_fwd: 1,
+            drain_deadline: None,
         };
-        let reactor = std::thread::spawn(move || reactor.run());
+        let reactor = std::thread::spawn(move || plane.run(tier));
 
         let prober_shared = Arc::clone(&shared);
         let prober = std::thread::spawn(move || prober_loop(&prober_shared));
@@ -2063,7 +1647,11 @@ impl ClusterFront {
         let probe_timeout = Duration::from_millis(self.shared.cfg.probe_timeout_ms.max(1));
         let mut per_shard = Vec::with_capacity(self.shared.shards.len());
         for shard in &self.shared.shards {
-            let stats = shard_final_stats(shard.addr, probe_timeout);
+            // Any valid spec works; the per-session payload is ignored.
+            let stats_req = Request::stats(1, gnn_mls::session::SessionSpec::fast("maeri16"));
+            let stats = exchange(shard.addr, &stats_req, probe_timeout, probe_timeout)
+                .ok()
+                .and_then(|resp| resp.stats);
             per_shard.push(ShardStats {
                 id: u32::from(shard.id),
                 addr: shard.addr.to_string(),
@@ -2074,13 +1662,12 @@ impl ClusterFront {
             });
         }
         for shard in &self.shared.shards {
-            if let Ok(mut stream) = TcpStream::connect_timeout(&shard.addr, probe_timeout) {
-                let _ = stream.set_write_timeout(Some(probe_timeout));
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-                if write_frame(&mut stream, &Request::shutdown(1)).is_ok() {
-                    let _ = read_response_deadline(&mut stream, Instant::now() + probe_timeout);
-                }
-            }
+            let _ = exchange(
+                shard.addr,
+                &Request::shutdown(1),
+                probe_timeout,
+                probe_timeout,
+            );
             // Wait for a managed child to exit; kill it if it will not.
             if let Some(mut child) = lock(&shard.child).take() {
                 let deadline = Instant::now()
@@ -2114,19 +1701,6 @@ impl Drop for ClusterFront {
             let _ = self.drain();
         }
     }
-}
-
-/// Asks a shard for its final [`ServerStats`] (any valid spec works;
-/// the per-session payload is ignored here).
-fn shard_final_stats(addr: SocketAddr, timeout: Duration) -> Option<ServerStats> {
-    let mut stream = TcpStream::connect_timeout(&addr, timeout).ok()?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(timeout));
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let spec = gnn_mls::session::SessionSpec::fast("maeri16");
-    write_frame(&mut stream, &Request::stats(1, spec)).ok()?;
-    let resp = read_response_deadline(&mut stream, Instant::now() + timeout).ok()?;
-    resp.stats
 }
 
 #[cfg(test)]

@@ -11,8 +11,14 @@
 //! - [`admission`] — deep request validation and a cost-budget meter
 //!   that reject or shed work *before* it takes a queue slot or the
 //!   build lock;
-//! - [`server`] — acceptor + bounded job queue (explicit `Busy`
-//!   backpressure, never unbounded growth) + worker pool with inference
+//! - `plane` (private) — the one client-connection plane both tiers
+//!   run on their reactor thread: nonblocking accept under a connection
+//!   cap, budgeted frame reads with typed decode errors, inline
+//!   `Shutdown`/`Health`/`Metrics`, queued writes, stall and
+//!   drain-refusal timers, and the bounded final flush;
+//! - [`server`] — the daemon's side of the plane (connection-level
+//!   admission) + bounded job queue (explicit `Busy` backpressure,
+//!   never unbounded growth) + worker pool with inference
 //!   micro-batching + LRU session cache + quarantine circuit breaker +
 //!   worker watchdog + graceful drain-on-shutdown;
 //! - [`client`] — a small blocking client with capped, seeded-jitter
@@ -23,13 +29,15 @@
 //!   per-request-kind methods return typed payloads;
 //! - [`ring`] — the consistent-hash ring that maps a `SessionSpec` to
 //!   its primary (and deterministic secondary) backend shard;
-//! - [`cluster`] — the `gnnmls serve --cluster` front tier: spawns and
-//!   health-probes backend shards, routes v2 frames by spec, fails over
-//!   through per-shard circuit breakers, and merges drain stats into
-//!   one versioned `cluster-stats` envelope;
-//! - [`loadgen`] — the `gnnmls bench cluster` load generator (mixed
-//!   whatif/infer traffic with a kill-one-shard schedule, writing
-//!   `BENCH_cluster.json`).
+//! - [`cluster`] — the `gnnmls serve --cluster` front tier: the front's
+//!   side of the plane (forwards and `LoadModel` broadcasts) plus
+//!   nonblocking backend sessions; spawns and health-probes backend
+//!   shards, routes v2 frames by spec, fails over through per-shard
+//!   circuit breakers, and merges drain stats into one versioned
+//!   `cluster-stats` envelope.
+//!
+//! The `gnnmls bench cluster` load generator and the `gnnmls bench zoo`
+//! driver live in the `gnnmls` binary, their only caller.
 //!
 //! Determinism contract: a warm answer is bit-identical to the one-shot
 //! CLI computing the same query, and a micro-batched inference response
@@ -53,11 +61,10 @@ pub mod admission;
 pub mod api;
 pub mod client;
 pub mod cluster;
-pub mod loadgen;
+mod plane;
 pub mod protocol;
 pub mod ring;
 pub mod server;
-pub mod zoobench;
 
 pub use admission::{request_cost, validate_request, AdmissionMeter};
 pub use api::{classify, Inference, ServeError};
@@ -66,11 +73,9 @@ pub use cluster::{
     ClusterConfig, ClusterConfigBuilder, ClusterFront, ClusterStats, ShardStats,
     CLUSTER_STATS_STAGE,
 };
-pub use loadgen::{run_cluster_bench, ClusterBenchConfig, ClusterBenchReport};
 pub use protocol::{
     read_frame, read_frame_idle, write_frame, FrameError, HealthStatus, QuarantineInfo, Request,
     RequestKind, Response, ResponseKind, ServerStats, MAX_FRAME, PROTOCOL_VERSION,
 };
 pub use ring::HashRing;
-pub use server::{ServeConfig, ServeConfigBuilder, ServeOpts, Server};
-pub use zoobench::{run_zoo_bench, ZooBenchConfig, ZooBenchReport};
+pub use server::{ServeConfig, ServeConfigBuilder, Server};

@@ -559,12 +559,12 @@ fn is_timeout(e: &std::io::Error) -> bool {
 
 /// Reads one frame, tolerating idle timeouts between frames.
 ///
-/// `keep_going` is consulted whenever the reader times out with **no**
-/// bytes of the next frame read yet; returning `false` yields
-/// `Ok(None)` (the server uses this to notice shutdown while a
-/// connection idles). A timeout *inside* a frame is a
-/// [`FrameError::Stalled`] — a slow or wedged peer cannot pin the
-/// reader forever.
+/// `keep_going` is consulted before each read while **no** byte of the
+/// frame has arrived; returning `false` yields `Ok(None)` (the cluster
+/// front uses this to bound its wait for a shard's answer). A timeout
+/// *inside* a frame is a [`FrameError::Stalled`] — a slow or wedged
+/// peer cannot pin the reader forever. The reader never consumes a byte
+/// past the frame it returns.
 ///
 /// # Errors
 ///
@@ -575,57 +575,31 @@ where
     R: Read,
     F: Fn() -> bool,
 {
-    let mut head = [0u8; 5];
-    let mut got = 0usize;
-    while got < head.len() {
-        if got == 0 && !keep_going() {
+    let mut decoder = gnnmls_reactor::FrameDecoder::new(PROTOCOL_VERSION, MAX_FRAME);
+    let mut chunk = Vec::new();
+    loop {
+        // The decoder refuses a foreign version as soon as byte 0 lands
+        // and an oversized length as soon as the header completes, long
+        // before any payload allocation.
+        if let Some(payload) = decoder.next_frame()? {
+            return decode_payload(&payload).map(Some);
+        }
+        let mid = decoder.mid_frame();
+        if !mid && !keep_going() {
             return Ok(None);
         }
-        match r.read(&mut head[got..]) {
-            Ok(0) => {
-                return Err(if got == 0 {
-                    FrameError::Closed
-                } else {
-                    FrameError::Truncated
-                })
-            }
-            Ok(n) => got += n,
-            Err(e) if is_timeout(&e) => {
-                if got > 0 {
-                    return Err(FrameError::Stalled);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-        // Refuse a foreign version as soon as the first byte lands —
-        // before the length, long before any payload allocation.
-        if got >= 1 && head[0] != PROTOCOL_VERSION {
-            return Err(FrameError::VersionMismatch {
-                got: head[0],
-                want: PROTOCOL_VERSION,
-            });
-        }
-    }
-    let len = u32::from_be_bytes([head[1], head[2], head[3], head[4]]) as usize;
-    if len > MAX_FRAME {
-        return Err(FrameError::TooLarge {
-            len,
-            max: MAX_FRAME,
-        });
-    }
-    let mut payload = vec![0u8; len];
-    let mut got = 0usize;
-    while got < len {
-        match r.read(&mut payload[got..]) {
-            Ok(0) => return Err(FrameError::Truncated),
-            Ok(n) => got += n,
-            Err(e) if is_timeout(&e) => return Err(FrameError::Stalled),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+        // Ask for exactly what this frame still needs: the caller's
+        // next frame arrives on the same stream.
+        chunk.resize(decoder.needed(), 0);
+        match r.read(&mut chunk) {
+            Ok(0) if mid => return Err(FrameError::Truncated),
+            Ok(0) => return Err(FrameError::Closed),
+            Ok(n) => decoder.extend_from_slice(&chunk[..n]),
+            Err(e) if is_timeout(&e) && mid => return Err(FrameError::Stalled),
+            Err(e) if is_timeout(&e) || e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    decode_payload(&payload).map(Some)
 }
 
 /// Reads one frame, blocking until it arrives or the stream fails.
@@ -662,6 +636,20 @@ mod tests {
         write_frame(&mut wire, &resp).unwrap();
         let back: Response = read_frame(&mut wire.as_slice()).unwrap();
         assert_eq!(resp, back);
+    }
+
+    #[test]
+    fn reader_stops_at_the_frame_boundary() {
+        // Two frames back to back: the first read must leave the second
+        // untouched, because a caller's next response shares the stream.
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Request::stats(1, spec())).unwrap();
+        write_frame(&mut wire, &Request::stats(2, spec())).unwrap();
+        let mut r = wire.as_slice();
+        let first: Request = read_frame(&mut r).unwrap();
+        let second: Request = read_frame(&mut r).unwrap();
+        assert_eq!((first.id, second.id), (1, 2));
+        assert!(r.is_empty());
     }
 
     #[test]

@@ -1,27 +1,26 @@
-//! The serve daemon: a readiness-driven reactor for the I/O plane in
-//! front of a bounded job queue, worker pool, and warm session cache.
+//! The serve daemon: a bounded job queue, worker pool, and warm session
+//! cache behind a readiness-driven reactor.
 //!
-//! One **reactor thread** owns every socket: it accepts nonblockingly,
-//! assembles frames incrementally (partial reads and partial writes
-//! are first-class, see [`gnnmls_reactor::FrameDecoder`] and
-//! [`gnnmls_reactor::WriteQueue`]), and pushes decoded requests onto a
-//! [`gnnmls_par::queue::BoundedQueue`]. The push **never blocks**: a
-//! full queue sheds the request with a typed `Busy` response, so memory
-//! use is bounded no matter how many clients pile on — ten thousand
-//! idle connections cost ten thousand fd slots and small buffers, not
-//! ten thousand threads. Stall deadlines, drain-refusal grace periods,
-//! and the inference micro-batching window all live on one
-//! [`gnnmls_reactor::TimerWheel`] instead of per-connection timeouts.
+//! One **reactor thread** owns every socket. It runs the client plane
+//! the daemon shares with the cluster front: nonblocking accept,
+//! incremental frame assembly (partial reads and partial writes are
+//! first-class, see [`gnnmls_reactor::FrameDecoder`] and
+//! [`gnnmls_reactor::WriteQueue`]), and stall deadlines and
+//! drain-refusal grace periods on one [`gnnmls_reactor::TimerWheel`]
+//! instead of per-connection timeouts. The daemon's part of the loop is
+//! connection-level admission and the push of each admitted request
+//! onto a [`gnnmls_par::queue::BoundedQueue`]. The push **never
+//! blocks**: a full queue sheds the request with a typed `Busy`
+//! response, so memory use is bounded no matter how many clients pile
+//! on — ten thousand idle connections cost ten thousand fd slots and
+//! small buffers, not ten thousand threads.
 //! A small worker pool pops jobs behind the queue; when a worker picks
 //! up an `InferMls` job it drains whatever else is queued and coalesces
 //! the inference requests that share a session into **one** batched
 //! model forward pass ([`gnn_mls::GnnMls::predict_paths`]), splitting
 //! the probabilities back per request — bit-identical to serving them
-//! one by one. With [`ServeConfig::batch_window_us`] set, the reactor
-//! additionally holds same-spec inference jobs for that window so they
-//! flush into the queue back-to-back and coalesce deterministically.
-//! Workers hand finished responses back to the loop through a
-//! completion queue plus a self-pipe [`gnnmls_reactor::Waker`].
+//! one by one. Workers hand finished responses back to the loop through
+//! a completion queue plus a self-pipe [`gnnmls_reactor::Waker`].
 //!
 //! Sessions are cached warm in an LRU keyed by
 //! [`SessionSpec::cache_key`]; a hit answers a what-if with a usage-map
@@ -57,12 +56,10 @@
 //! `gnnmls client metrics` against a draining daemon fails fast.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -72,15 +69,12 @@ use gnn_mls::AuditMode;
 use gnnmls_faults::{fire, FaultSite};
 use gnnmls_obs::FieldValue;
 use gnnmls_par::queue::{BoundedQueue, PushError};
-use gnnmls_reactor::{
-    wake_pair, FrameDecoder, Interest, Poller, TimerWheel, WakeReceiver, Waker, WriteQueue,
-};
 
 use crate::admission::{self, AdmissionMeter};
+use crate::plane::{lock, Completions, LoopMetrics, Plane, PlaneConfig, Tier};
 use crate::protocol::{
-    decode_payload, encode_msg, FrameError, HealthStatus, ModelSwapResult, QuarantineInfo, Request,
-    RequestKind, Response, ResponseKind, ServerStats, DEFAULT_INFER_PATHS, MAX_FRAME,
-    PROTOCOL_VERSION,
+    HealthStatus, ModelSwapResult, QuarantineInfo, Request, RequestKind, Response, ResponseKind,
+    ServerStats, DEFAULT_INFER_PATHS,
 };
 
 /// Stage name of the final drain checkpoint envelope.
@@ -104,23 +98,20 @@ static BATCH_SIZE: gnnmls_obs::Histogram = gnnmls_obs::Histogram::new(
     "inference requests coalesced into one model forward pass",
     &[1, 2, 4, 8, 16, 32, 64],
 );
-static REACTOR_WAKEUPS: gnnmls_obs::Counter = gnnmls_obs::Counter::new(
-    "gnnmls_reactor_wakeups_total",
-    "times the serve event loop woke with at least one readiness event",
-);
-static REACTOR_ACCEPTS: gnnmls_obs::Counter = gnnmls_obs::Counter::new(
-    "gnnmls_reactor_accepts_total",
-    "connections accepted by the serve event loop",
-);
-static REACTOR_CONNECTIONS: gnnmls_obs::Gauge = gnnmls_obs::Gauge::new(
-    "gnnmls_reactor_connections",
-    "connections currently registered with the serve event loop",
-);
-static BATCH_WINDOW_FILL: gnnmls_obs::Histogram = gnnmls_obs::Histogram::new(
-    "gnnmls_serve_batch_window_fill",
-    "inference jobs accumulated when a micro-batching window flushed",
-    &[1, 2, 4, 8, 16, 32, 64],
-);
+static REACTOR: LoopMetrics = LoopMetrics {
+    wakeups: gnnmls_obs::Counter::new(
+        "gnnmls_reactor_wakeups_total",
+        "times the serve event loop woke with at least one readiness event",
+    ),
+    accepts: gnnmls_obs::Counter::new(
+        "gnnmls_reactor_accepts_total",
+        "connections accepted by the serve event loop",
+    ),
+    connections: gnnmls_obs::Gauge::new(
+        "gnnmls_reactor_connections",
+        "connections currently registered with the serve event loop",
+    ),
+};
 
 /// Daemon configuration.
 ///
@@ -140,8 +131,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Warm sessions kept before LRU eviction.
     pub cache_capacity: usize,
-    /// Socket read timeout; an idle timeout re-checks shutdown, a
-    /// mid-frame timeout is a typed stall.
+    /// Mid-frame stall deadline, ms: a connection that stops sending
+    /// partway through a frame gets a typed stall notice and is closed.
+    /// A connection idle between frames never times out.
     pub read_timeout_ms: u64,
     /// Where the final [`ServerStats`] envelope is written on drain.
     pub checkpoint_dir: Option<PathBuf>,
@@ -157,12 +149,6 @@ pub struct ServeConfig {
     pub quarantine_cooldown_ms: u64,
     /// Seed for the quarantine jitter (deterministic across runs).
     pub quarantine_seed: u64,
-    /// Micro-batching window for `InferMls`, microseconds. When
-    /// non-zero the reactor holds same-spec inference jobs up to this
-    /// long so they enter the queue back-to-back and coalesce into one
-    /// forward pass; `0` (the default) pushes each job immediately and
-    /// leaves coalescing to opportunistic queue draining.
-    pub batch_window_us: u64,
     /// Connections the reactor keeps open at once; a connection beyond
     /// the cap is answered with a typed `Busy` and closed.
     pub max_connections: usize,
@@ -185,7 +171,6 @@ impl Default for ServeConfig {
             quarantine_threshold: 3,
             quarantine_cooldown_ms: 5_000,
             quarantine_seed: 0x6d6c_735f_7365_7276,
-            batch_window_us: 0,
             max_connections: 16_384,
             read_budget: 64 * 1024,
         }
@@ -208,10 +193,9 @@ impl ServeConfig {
     }
 }
 
-/// The daemon options, by the name the CLI and docs use.
-pub type ServeOpts = ServeConfig;
-
-macro_rules! serve_builder_setters {
+/// One checked-builder setter per config field; shared by
+/// [`ServeConfigBuilder`] and the cluster front's builder.
+macro_rules! builder_setters {
     ($($(#[$doc:meta])* $name:ident: $ty:ty),* $(,)?) => {
         $(
             $(#[$doc])*
@@ -223,6 +207,7 @@ macro_rules! serve_builder_setters {
         )*
     };
 }
+pub(crate) use builder_setters;
 
 /// Checked builder for [`ServeConfig`] (see [`ServeConfig::builder`]).
 #[derive(Clone, Debug)]
@@ -231,7 +216,7 @@ pub struct ServeConfigBuilder {
 }
 
 impl ServeConfigBuilder {
-    serve_builder_setters! {
+    builder_setters! {
         /// Bind address (`127.0.0.1:0` picks a free port).
         addr: String,
         /// Job-queue capacity; pushes beyond it are shed as `Busy`.
@@ -240,7 +225,7 @@ impl ServeConfigBuilder {
         workers: usize,
         /// Warm sessions kept before LRU eviction.
         cache_capacity: usize,
-        /// Socket read timeout, ms.
+        /// Mid-frame stall deadline, ms.
         read_timeout_ms: u64,
         /// Where the final stats envelope is written on drain.
         checkpoint_dir: Option<PathBuf>,
@@ -252,8 +237,6 @@ impl ServeConfigBuilder {
         quarantine_cooldown_ms: u64,
         /// Seed for the quarantine jitter.
         quarantine_seed: u64,
-        /// `InferMls` micro-batching window, µs (0 = immediate).
-        batch_window_us: u64,
         /// Concurrent-connection cap.
         max_connections: usize,
         /// Bytes read per connection per readiness event.
@@ -292,13 +275,6 @@ impl ServeConfigBuilder {
         if c.quarantine_cooldown_ms == 0 {
             return bad("quarantine_cooldown_ms", "0".to_string(), ">= 1");
         }
-        if c.batch_window_us > 1_000_000 {
-            return bad(
-                "batch_window_us",
-                c.batch_window_us.to_string(),
-                "<= 1000000 (one second)",
-            );
-        }
         if c.max_connections == 0 {
             return bad("max_connections", "0".to_string(), ">= 1");
         }
@@ -313,10 +289,6 @@ impl ServeConfigBuilder {
 // here for quarantine-cooldown jitter. One shared copy lives in
 // `gnnmls_par::rng`.
 use gnnmls_par::rng::splitmix64;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Stable label for a request kind in metrics and trace events.
 fn kind_name(kind: RequestKind) -> &'static str {
@@ -430,17 +402,6 @@ struct Counters {
     shed: AtomicU64,
     watchdog_restarts: AtomicU64,
     audit_failures: AtomicU64,
-}
-
-/// The worker→reactor handoff: finished responses land here and the
-/// waker nudges the loop (which owns every socket) to flush them.
-/// The worker→reactor response channel: completed (connection token,
-/// response) pairs plus the waker that pulls the loop out of `wait`.
-/// Shared with the cluster front, whose broadcast threads use the same
-/// delivery path.
-pub(crate) struct Completions {
-    pub(crate) ready: Mutex<Vec<(u64, Response)>>,
-    pub(crate) waker: Waker,
 }
 
 /// Where a job's response goes: the completion queue of the reactor
@@ -1052,454 +1013,46 @@ fn watchdog_loop(shared: &Arc<Shared>, slots: &Arc<Vec<WorkerSlot>>) {
     }
 }
 
-/// Timer-key namespace tags (high byte) so one wheel serves every
-/// purpose without collisions: connection tokens stay below 2^56.
-const TAG_MASK: u64 = !((1u64 << 56) - 1);
-const TAG_STALL: u64 = 1 << 56;
-const TAG_REFUSE: u64 = 2 << 56;
-/// The single micro-batching window timer. All pending batches flush
-/// together when it fires, so every held job waits at most one window.
-const KEY_BATCH: u64 = 3 << 56;
-
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-const TOKEN_FIRST_CONN: u64 = 2;
-
-/// Write backpressure: reading from a connection pauses while its
-/// unsent responses exceed this many bytes (the peer is not draining).
-const WRITE_HIGH_WATER: usize = 1 << 20;
-
-/// How long a connection accepted during a drain may idle before the
-/// typed refusal goes out even without a request frame.
-const DRAIN_REFUSE_MS: u64 = 500;
-
-/// One connection's state on the reactor.
-struct Conn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    writes: WriteQueue,
-    interest: Interest,
-    /// Jobs admitted on behalf of this connection, not yet answered.
-    inflight: usize,
-    /// Accepted while draining: the first frame (or a timer) gets a
-    /// typed refusal and nothing is served.
-    refusing: bool,
-    /// Stop serving; close once the write queue drains and no job is
-    /// in flight.
-    closing: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        Self {
-            stream,
-            decoder: FrameDecoder::new(PROTOCOL_VERSION, MAX_FRAME),
-            writes: WriteQueue::new(),
-            interest: Interest::READABLE,
-            inflight: 0,
-            refusing: false,
-            closing: false,
-        }
-    }
-}
-
-/// The readiness-driven I/O plane: one thread, every socket. Decodes
-/// requests, runs connection-level admission, pushes jobs, and flushes
-/// the responses workers hand back through the completion queue.
-struct Reactor {
+/// The daemon's side of the client plane: connection-level admission
+/// in front of the job queue.
+struct DaemonTier {
     shared: Arc<Shared>,
-    completions: Arc<Completions>,
-    listener: TcpListener,
-    poller: Poller,
-    timers: TimerWheel,
-    wake_rx: WakeReceiver,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
-    /// `InferMls` jobs held for the batching window, keyed by spec
-    /// cache key so a flush enters the queue as one contiguous run.
-    batches: HashMap<u64, Vec<Job>>,
 }
 
-impl Reactor {
-    fn run(&mut self) {
-        let mut events = Vec::new();
-        let mut fired: Vec<u64> = Vec::new();
-        loop {
-            if self.shared.accept_stop.load(Ordering::SeqCst) {
-                self.final_flush();
-                return;
-            }
-            // Cap the sleep so a lost wakeup can only ever delay — not
-            // deadlock — a drain.
-            let timeout = self
-                .timers
-                .next_deadline()
-                .map_or(Duration::from_millis(500), |dl| {
-                    dl.saturating_duration_since(Instant::now())
-                })
-                .min(Duration::from_millis(500));
-            events.clear();
-            let n = self.poller.wait(&mut events, Some(timeout)).unwrap_or(0);
-            if n > 0 {
-                REACTOR_WAKEUPS.inc();
-            }
-            for ev in &events {
-                let (token, readable, writable, hangup) =
-                    (ev.token, ev.readable, ev.writable, ev.hangup);
-                match token {
-                    TOKEN_LISTENER => self.on_accept(),
-                    TOKEN_WAKER => {
-                        self.wake_rx.drain();
-                        self.deliver_completions();
-                    }
-                    _ => self.on_conn_event(token, readable, writable, hangup),
-                }
-            }
-            fired.clear();
-            self.timers.pop_expired(Instant::now(), &mut fired);
-            for &key in &fired {
-                self.on_timer(key);
-            }
-        }
+impl Tier for DaemonTier {
+    fn running(&self) -> bool {
+        self.shared.running.load(Ordering::SeqCst)
     }
 
-    fn on_accept(&mut self) {
-        loop {
-            let stream = match self.listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            };
-            if stream.set_nonblocking(true).is_err() {
-                continue;
-            }
-            let _ = stream.set_nodelay(true);
-            REACTOR_ACCEPTS.inc();
-            let token = self.next_token;
-            self.next_token += 1;
-            let mut conn = Conn::new(stream);
-            if self
-                .poller
-                .register(conn.stream.as_raw_fd(), token, Interest::READABLE)
-                .is_err()
-            {
-                continue;
-            }
-            REACTOR_CONNECTIONS.add(1);
-            if !self.shared.running.load(Ordering::SeqCst) {
-                // Draining: wait (bounded) for the client's first frame
-                // and answer it with a typed refusal — refusing before
-                // the client writes would race a TCP reset that
-                // discards the refusal before the client reads it.
-                conn.refusing = true;
-                self.conns.insert(token, conn);
-                self.timers
-                    .schedule_after(TAG_REFUSE | token, Duration::from_millis(DRAIN_REFUSE_MS));
-                continue;
-            }
-            if self.conns.len() >= self.shared.cfg.max_connections.max(1) {
-                gnnmls_obs::counter_add("gnnmls_serve_conn_limited_total", &[], 1);
-                conn.closing = true;
-                self.conns.insert(token, conn);
-                self.send(token, &Response::busy(0));
-                continue;
-            }
-            self.conns.insert(token, conn);
-            // Deterministic stall seam: treat this connection as a
-            // wedged client without waiting out a real timeout.
-            if fire(FaultSite::SlowClientStall) {
-                self.stall_out(token);
-            }
-        }
+    fn begin_shutdown(&self) {
+        self.shared.begin_shutdown();
     }
 
-    /// Answers with a typed stall notice and closes — the reactor's
-    /// rendering of the old mid-frame read timeout.
-    fn stall_out(&mut self, token: u64) {
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.closing = true;
-        }
-        self.send(token, &Response::error(0, FrameError::Stalled));
+    fn finished(&mut self) -> bool {
+        self.shared.accept_stop.load(Ordering::SeqCst)
     }
 
-    /// Encodes and queues one response on `token`, then flushes as much
-    /// as the socket accepts. A gone connection swallows the response.
-    fn send(&mut self, token: u64, resp: &Response) {
-        let Some(conn) = self.conns.get_mut(&token) else {
+    fn health(&self) -> HealthStatus {
+        self.shared.health()
+    }
+
+    /// Answers `LoadModel` on the loop; every other request runs
+    /// admission and takes a queue slot.
+    fn dispatch(&mut self, plane: &mut Plane, token: u64, req: Request) {
+        let shared = &self.shared;
+        // An operator must be able to roll a model while the queue is
+        // full. The swap itself is a checkpoint read + restore —
+        // bounded work, no session build.
+        if req.kind == RequestKind::LoadModel {
+            plane.send(token, &shared.load_model_response(&req));
             return;
-        };
-        match encode_msg(resp) {
-            Ok(frame) => conn.writes.push(frame),
-            // An unencodable response mirrors a failed blocking
-            // write_frame: the connection is torn down.
-            Err(_) => {
-                self.close_conn(token);
-                return;
-            }
-        }
-        self.flush_conn(token);
-    }
-
-    fn flush_conn(&mut self, token: u64) {
-        let flushed = {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            conn.writes.flush_to(&mut conn.stream)
-        };
-        match flushed {
-            Ok(_) => self.settle(token),
-            Err(_) => self.close_conn(token),
-        }
-    }
-
-    /// Closes a finished connection or re-syncs its poll interest.
-    fn settle(&mut self, token: u64) {
-        let Some(conn) = self.conns.get(&token) else {
-            return;
-        };
-        if conn.closing && conn.writes.is_empty() && conn.inflight == 0 {
-            self.close_conn(token);
-        } else {
-            self.update_interest(token);
-        }
-    }
-
-    fn update_interest(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let want = Interest {
-            readable: !conn.closing && conn.writes.buffered() < WRITE_HIGH_WATER,
-            writable: !conn.writes.is_empty(),
-        };
-        if want.readable != conn.interest.readable || want.writable != conn.interest.writable {
-            let fd = conn.stream.as_raw_fd();
-            if self.poller.modify(fd, token, want).is_err() {
-                self.close_conn(token);
-                return;
-            }
-            conn.interest = want;
-        }
-    }
-
-    fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            self.timers.cancel(TAG_STALL | token);
-            self.timers.cancel(TAG_REFUSE | token);
-            REACTOR_CONNECTIONS.add(-1);
-        }
-    }
-
-    fn on_conn_event(&mut self, token: u64, readable: bool, writable: bool, hangup: bool) {
-        if writable {
-            self.flush_conn(token);
-        }
-        if readable {
-            self.on_readable(token);
-        }
-        if hangup && !readable {
-            // ERR/HUP with nothing left to read: the peer is gone for
-            // good, pending work is undeliverable.
-            self.close_conn(token);
-        }
-    }
-
-    fn on_readable(&mut self, token: u64) {
-        let budget = self.shared.cfg.read_budget.max(1);
-        let eof = {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.closing || conn.writes.buffered() >= WRITE_HIGH_WATER {
-                return;
-            }
-            match conn.decoder.fill_from(&mut conn.stream, budget) {
-                Ok((_, eof)) => eof,
-                Err(_) => {
-                    self.close_conn(token);
-                    return;
-                }
-            }
-        };
-        // Decode every complete frame buffered so far.
-        loop {
-            let (payload, refusing) = {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return;
-                };
-                if conn.closing {
-                    break;
-                }
-                match conn.decoder.next_frame() {
-                    Ok(Some(payload)) => (payload, conn.refusing),
-                    Ok(None) => break,
-                    Err(e) => {
-                        // The stream is no longer frame-aligned: one
-                        // typed error, then close (mirrors the blocking
-                        // reader's oversized/version paths).
-                        conn.closing = true;
-                        self.send(token, &Response::error(0, FrameError::from(e)));
-                        break;
-                    }
-                }
-            };
-            if refusing {
-                self.refuse(token);
-            } else {
-                self.handle_payload(token, payload);
-            }
-        }
-        if eof {
-            let truncated = {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return;
-                };
-                let truncated = conn.decoder.mid_frame() && !conn.refusing && !conn.closing;
-                conn.closing = true;
-                truncated
-            };
-            if truncated {
-                // One best-effort typed error for a peer that vanished
-                // mid-frame; pending responses still flush first.
-                self.send(token, &Response::error(0, FrameError::Truncated));
-            }
-        }
-        // Stall deadline: armed only while a frame is partially read —
-        // an idle connection between frames never times out.
-        let Some(conn) = self.conns.get(&token) else {
-            return;
-        };
-        let (mid, closing) = (conn.decoder.mid_frame(), conn.closing);
-        if mid && !closing {
-            self.timers.schedule_after(
-                TAG_STALL | token,
-                Duration::from_millis(self.shared.cfg.read_timeout_ms.max(1)),
-            );
-        } else {
-            self.timers.cancel(TAG_STALL | token);
-        }
-        self.settle(token);
-    }
-
-    /// Sends the typed drain refusal on a connection accepted while the
-    /// daemon is shutting down.
-    fn refuse(&mut self, token: u64) {
-        self.timers.cancel(TAG_REFUSE | token);
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.closing = true;
-        }
-        gnnmls_obs::counter_add("gnnmls_serve_drain_refused_total", &[], 1);
-        self.send(
-            token,
-            &Response::rejected(0, "server is draining; connection refused"),
-        );
-    }
-
-    fn on_timer(&mut self, key: u64) {
-        if key == KEY_BATCH {
-            self.flush_batches();
-            return;
-        }
-        let token = key & !TAG_MASK;
-        match key & TAG_MASK {
-            TAG_STALL => {
-                let stalled = self
-                    .conns
-                    .get(&token)
-                    .is_some_and(|c| c.decoder.mid_frame() && !c.closing);
-                if stalled {
-                    self.stall_out(token);
-                }
-            }
-            TAG_REFUSE => {
-                let waiting = self
-                    .conns
-                    .get(&token)
-                    .is_some_and(|c| c.refusing && !c.closing);
-                if waiting {
-                    self.refuse(token);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Routes worker responses back to the connections that asked.
-    fn deliver_completions(&mut self) {
-        let ready = std::mem::take(&mut *lock(&self.completions.ready));
-        for (token, resp) in ready {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.inflight = conn.inflight.saturating_sub(1);
-            }
-            self.send(token, &resp);
-            // A closing connection whose last response just left is
-            // reaped here rather than waiting for another event.
-            self.settle(token);
-        }
-    }
-
-    /// Connection-level dispatch for one decoded frame. Inline kinds
-    /// are answered on the loop; the rest run admission and take a
-    /// queue slot (or a batching-window seat).
-    fn handle_payload(&mut self, token: u64, payload: Vec<u8>) {
-        // Deterministic stall seam, same cadence as the threaded
-        // server: checked once per incoming request.
-        if fire(FaultSite::SlowClientStall) {
-            self.stall_out(token);
-            return;
-        }
-        let req: Request = match decode_payload(&payload) {
-            Ok(req) => req,
-            Err(e) => {
-                // The length prefix already consumed the bad payload,
-                // so the stream is still frame-aligned: answer with a
-                // typed error and keep serving this client.
-                self.send(token, &Response::error(0, e));
-                return;
-            }
-        };
-        let shared = Arc::clone(&self.shared);
-        match req.kind {
-            RequestKind::Shutdown => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.closing = true;
-                }
-                self.send(token, &Response::ok(req.id));
-                shared.begin_shutdown();
-                return;
-            }
-            // Health and Metrics are answered on the loop (never
-            // queued), so they work even when the queue is full or the
-            // workers are wedged — a scraper can always see a
-            // saturated daemon.
-            RequestKind::Health => {
-                self.send(token, &Response::ok(req.id).with_health(shared.health()));
-                return;
-            }
-            RequestKind::Metrics => {
-                let resp = Response::ok(req.id).with_metrics(gnn_mls::api::metrics());
-                self.send(token, &resp);
-                return;
-            }
-            // LoadModel too: an operator must be able to roll a model
-            // while the queue is full. The swap itself is a checkpoint
-            // read + restore — bounded work, no session build.
-            RequestKind::LoadModel => {
-                let resp = shared.load_model_response(&req);
-                self.send(token, &resp);
-                return;
-            }
-            _ => {}
         }
         // Admission control: deep-validate before the request can cost
         // a queue slot or the build lock. Rejections are permanent.
         if let Err(e) = admission::validate_request(&req) {
             shared.counters.rejected.fetch_add(1, Ordering::SeqCst);
             count_admission("rejected");
-            self.send(token, &Response::rejected(req.id, e));
+            plane.send(token, &Response::rejected(req.id, e));
             return;
         }
         // Circuit breaker: refuse a quarantined spec up front instead
@@ -1511,7 +1064,7 @@ impl Reactor {
                 shared.counters.quarantined.fetch_add(1, Ordering::SeqCst);
                 count_admission("quarantined");
                 let resp = Shared::quarantined_response(req.id, strikes, remaining_ms);
-                self.send(token, &resp);
+                plane.send(token, &resp);
                 return;
             }
         }
@@ -1522,132 +1075,34 @@ impl Reactor {
             shared.counters.busy.fetch_add(1, Ordering::SeqCst);
             shared.counters.shed.fetch_add(1, Ordering::SeqCst);
             count_admission("shed");
-            self.send(token, &Response::busy(req.id));
+            plane.send(token, &Response::busy(req.id));
             return;
         }
         let id = req.id;
-        let batch_key = (req.kind == RequestKind::InferMls && shared.cfg.batch_window_us > 0)
-            .then(|| req.spec.cache_key());
         let job = Job {
             req,
             reply: Reply {
                 conn: token,
-                completions: Arc::clone(&self.completions),
+                completions: Arc::clone(plane.completions()),
             },
             cost,
             enqueued_at: Instant::now(),
         };
-        if let Some(key) = batch_key {
-            // Batching window: hold the job so same-spec inference
-            // enters the queue back-to-back and coalesces into one
-            // forward pass regardless of worker timing.
-            self.batches.entry(key).or_default().push(job);
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.inflight += 1;
-            }
-            if !self.timers.is_armed(KEY_BATCH) {
-                self.timers
-                    .schedule_after(KEY_BATCH, Duration::from_micros(shared.cfg.batch_window_us));
-            }
-            return;
-        }
         match shared.queue.try_push(job) {
             Ok(()) => {
                 count_admission("admitted");
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.inflight += 1;
-                }
+                plane.hold(token);
             }
             Err((job, PushError::Full)) => {
                 shared.meter.release(job.cost);
                 shared.counters.busy.fetch_add(1, Ordering::SeqCst);
                 count_admission("busy");
-                self.send(token, &Response::busy(id));
+                plane.send(token, &Response::busy(id));
             }
             Err((job, PushError::Closed)) => {
                 shared.meter.release(job.cost);
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.closing = true;
-                }
-                self.send(token, &Response::error(id, "server is shutting down"));
+                plane.send_last(token, &Response::error(id, "server is shutting down"));
             }
-        }
-    }
-
-    /// Pushes every held micro-batch into the queue as one atomic run.
-    /// A refused batch is shed with the same per-request accounting the
-    /// immediate path uses.
-    fn flush_batches(&mut self) {
-        let batches = std::mem::take(&mut self.batches);
-        for (_, jobs) in batches {
-            BATCH_WINDOW_FILL.observe(jobs.len() as u64);
-            let n = jobs.len() as u64;
-            match self.shared.queue.try_push_all(jobs) {
-                Ok(()) => {
-                    gnnmls_obs::counter_add(
-                        "gnnmls_serve_admission_total",
-                        &[("verdict", "admitted")],
-                        n,
-                    );
-                }
-                Err((jobs, PushError::Full)) => {
-                    for job in jobs {
-                        self.shared.meter.release(job.cost);
-                        self.shared.counters.busy.fetch_add(1, Ordering::SeqCst);
-                        count_admission("busy");
-                        let (id, token) = (job.req.id, job.reply.conn);
-                        if let Some(conn) = self.conns.get_mut(&token) {
-                            conn.inflight = conn.inflight.saturating_sub(1);
-                        }
-                        self.send(token, &Response::busy(id));
-                        self.settle(token);
-                    }
-                }
-                Err((jobs, PushError::Closed)) => {
-                    for job in jobs {
-                        self.shared.meter.release(job.cost);
-                        let (id, token) = (job.req.id, job.reply.conn);
-                        if let Some(conn) = self.conns.get_mut(&token) {
-                            conn.inflight = conn.inflight.saturating_sub(1);
-                            conn.closing = true;
-                        }
-                        self.send(token, &Response::error(id, "server is shutting down"));
-                        self.settle(token);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Post-drain epilogue: the workers are joined, so every owed
-    /// response already sits in the completion queue. Deliver them,
-    /// flush each socket under a bounded grace period, then drop
-    /// everything (closing all fds).
-    fn final_flush(&mut self) {
-        self.flush_batches();
-        let grace = Instant::now() + Duration::from_secs(2);
-        let mut events = Vec::new();
-        loop {
-            self.wake_rx.drain();
-            self.deliver_completions();
-            let owed: Vec<u64> = self
-                .conns
-                .iter()
-                .filter(|(_, c)| !c.writes.is_empty())
-                .map(|(&t, _)| t)
-                .collect();
-            for token in owed {
-                self.flush_conn(token);
-            }
-            let done = self.conns.values().all(|c| c.writes.is_empty())
-                && lock(&self.completions.ready).is_empty();
-            if done || Instant::now() >= grace {
-                return;
-            }
-            events.clear();
-            let _ = self
-                .poller
-                .wait(&mut events, Some(Duration::from_millis(20)));
         }
     }
 }
@@ -1671,9 +1126,21 @@ impl Server {
     /// Returns the bind error when the address is unavailable, or when
     /// the reactor's poller/waker plumbing cannot be created.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
+        let plane = Plane::bind(
+            &cfg.addr,
+            PlaneConfig {
+                max_connections: cfg.max_connections,
+                read_budget: cfg.read_budget,
+                read_timeout_ms: cfg.read_timeout_ms,
+                conn_limited_metric: "gnnmls_serve_conn_limited_total",
+                drain_refused_metric: "gnnmls_serve_drain_refused_total",
+                refusal: "server is draining; connection refused",
+                loop_metrics: Some(&REACTOR),
+                stall_seam: Some(FaultSite::SlowClientStall),
+            },
+        )?;
+        let local_addr = plane.local_addr()?;
+        let completions = Arc::clone(plane.completions());
         let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(cfg.queue_capacity),
@@ -1687,29 +1154,10 @@ impl Server {
             models: Mutex::new(HashMap::new()),
             cfg,
         });
-
-        let (waker, wake_rx) = wake_pair()?;
-        let completions = Arc::new(Completions {
-            ready: Mutex::new(Vec::new()),
-            waker,
-        });
-        let mut poller = Poller::new()?;
-        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
-        poller.register(wake_rx.raw_fd(), TOKEN_WAKER, Interest::READABLE)?;
-        let mut reactor = Reactor {
+        let tier = DaemonTier {
             shared: Arc::clone(&shared),
-            completions: Arc::clone(&completions),
-            listener,
-            poller,
-            // 500µs granularity: fine enough for sub-millisecond batch
-            // windows, coarse enough that an idle wheel costs nothing.
-            timers: TimerWheel::new(Duration::from_micros(500), 512),
-            wake_rx,
-            conns: HashMap::new(),
-            next_token: TOKEN_FIRST_CONN,
-            batches: HashMap::new(),
         };
-        let reactor = std::thread::spawn(move || reactor.run());
+        let reactor = std::thread::spawn(move || plane.run(tier));
 
         let slots: Arc<Vec<WorkerSlot>> =
             Arc::new((0..workers).map(|_| WorkerSlot::default()).collect());

@@ -2,11 +2,12 @@
 //! cannot honor: slow-loris clients hold sockets, not worker threads;
 //! thousands of idle connections coexist with a live request trickle.
 //!
-//! The two storm tests are ignored by default: the CI soak job runs the
-//! 2k variant explicitly, and the 10k variant is the local evidence run
-//! behind the `BENCH_serve.json` soak numbers. The 10k storm runs the
-//! daemon as a child process — one process cannot hold both ends of
-//! 10k sockets under a 20k `RLIMIT_NOFILE` hard limit.
+//! The storm tests are ignored by default: the CI soak job runs the two
+//! 2k variants (daemon and cluster front) explicitly, and the 10k
+//! variant is the local evidence run behind the `BENCH_serve.json` soak
+//! numbers. The 10k storm runs the daemon as a child process — one
+//! process cannot hold both ends of 10k sockets under a 20k
+//! `RLIMIT_NOFILE` hard limit.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -15,6 +16,7 @@ use std::time::{Duration, Instant};
 
 use gnn_mls::session::SessionSpec;
 use gnnmls_reactor::net::raise_nofile_limit;
+use gnnmls_serve::cluster::{ClusterConfig, ClusterFront, ShardBackendSpec};
 use gnnmls_serve::protocol::{ResponseKind, PROTOCOL_VERSION};
 use gnnmls_serve::{Client, ServeConfig, Server};
 
@@ -125,6 +127,30 @@ fn idle_storm_2k_connections_keep_serving() {
     let (p50, p99) = idle_storm_against(server.local_addr(), N);
     println!("idle storm 2k: warm what-if p50 {p50:.3} ms, p99 {p99:.3} ms");
     server.shutdown();
+}
+
+/// The same 2k storm against a cluster front over one in-process
+/// daemon: the front's client plane holds the idle sockets while the
+/// trickle is forwarded to the shard.
+#[test]
+#[ignore = "2k-connection storm; the CI soak job runs it explicitly"]
+fn idle_storm_2k_through_the_cluster_front() {
+    const N: usize = 2_000;
+    if let Err(e) = raise_nofile_limit((N as u64) * 2 + 1_024) {
+        eprintln!("skipping idle storm: cannot raise RLIMIT_NOFILE: {e}");
+        return;
+    }
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let front = ClusterFront::start(
+        ClusterConfig::default(),
+        vec![ShardBackendSpec::External(server.local_addr())],
+    )
+    .unwrap();
+    let (p50, p99) = idle_storm_against(front.local_addr(), N);
+    println!("idle storm 2k via front: warm what-if p50 {p50:.3} ms, p99 {p99:.3} ms");
+    // The front's drain shuts its shard down over the wire.
+    front.shutdown();
+    server.wait();
 }
 
 /// Spawns `gnnmls serve` as a child on a free port and waits until it
