@@ -4,9 +4,12 @@
 //!
 //! Encoder and head keep *separate* parameter stores: DGI pretraining
 //! updates only the encoder, fine-tuning updates only the MLP head (the
-//! paper passes "DGI-pretrained node embeddings" through the MLP). Both
-//! choices are ablation knobs ([`ModelConfig::use_dgi`],
-//! [`ModelConfig::finetune_encoder`], [`ModelConfig::encoder`]).
+//! paper passes "DGI-pretrained node embeddings" through the MLP). A
+//! frozen encoder is therefore run once per path per
+//! [`GnnMls::finetune`] call, and every fine-tuning step trains the head
+//! on those cached embeddings. Both choices are ablation knobs
+//! ([`ModelConfig::use_dgi`], [`ModelConfig::finetune_encoder`],
+//! [`ModelConfig::encoder`]).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -98,7 +101,8 @@ pub struct ModelConfig {
     /// Run DGI pretraining at all (ablation knob).
     pub use_dgi: bool,
     /// Also update the encoder during fine-tuning (ablation knob; the
-    /// paper freezes it).
+    /// paper freezes it). Frozen, the encoder runs once per path per
+    /// [`GnnMls::finetune`] call; trained, it runs on every step.
     pub finetune_encoder: bool,
     /// Encoder architecture.
     pub encoder: EncoderKind,
@@ -137,11 +141,13 @@ pub struct GnnMls {
     head: Mlp,
     scaler: Option<FeatureScaler>,
     rng: StdRng,
-    /// Worker threads for inference fan-out (`0` = all cores). Runtime
-    /// state, not a hyperparameter: never checkpointed, never affects
-    /// results — per-path prediction is pure, so [`GnnMls::decide`] and
-    /// [`GnnMls::evaluate`] are bit-identical for any value. Training
-    /// (SGD) stays serial: its updates are order-dependent.
+    /// Worker threads for the per-path forward fan-out (`0` = all
+    /// cores). Runtime state, not a hyperparameter: never checkpointed,
+    /// never affects results — a path's forward pass is pure, so
+    /// [`GnnMls::decide`], [`GnnMls::evaluate`] and the frozen-encoder
+    /// embedding pass of [`GnnMls::finetune`] are bit-identical for any
+    /// value. The SGD steps stay serial: their updates are
+    /// order-dependent.
     threads: usize,
     /// Divergence recoveries performed across all training stages
     /// (reported in the flow's degradation summary).
@@ -191,7 +197,8 @@ impl GnnMls {
         &self.cfg
     }
 
-    /// Sets the inference thread count (`0` = all cores, `1` = serial).
+    /// Sets the forward fan-out thread count (`0` = all cores, `1` =
+    /// serial).
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads;
     }
@@ -254,9 +261,38 @@ impl GnnMls {
         }
     }
 
+    /// Encoder embeddings (`n × d_model`) of one path. Both
+    /// [`GnnMls::predict_path`] and the frozen-encoder cache of
+    /// [`GnnMls::finetune`] go through here, so the head always sees the
+    /// same bits for a path.
+    fn embed(&self, sample: &PathSample) -> Result<Tensor, ModelError> {
+        let x = self.features_of(sample)?;
+        let mut tape = Tape::new();
+        let pv = self.enc_params.bind(&mut tape);
+        let xv = tape.leaf(x);
+        let h = self.encode(&mut tape, &pv, xv, sample.len());
+        Ok(tape.value(h).clone())
+    }
+
+    /// Maps `f` over `samples` on the `gnnmls-par` pool, in input order,
+    /// so the result is bit-identical for any thread count. A worker
+    /// panic is retried serially; if even that fails, the plain serial
+    /// loop runs (a panic there is a real bug).
+    fn map_samples<R: Send>(
+        &self,
+        samples: &[PathSample],
+        f: impl Fn(&PathSample) -> R + Sync,
+    ) -> Vec<R> {
+        match gnnmls_par::recovering_par_map(self.threads, samples, &f) {
+            Ok(v) => v,
+            Err(_) => samples.iter().map(f).collect(),
+        }
+    }
+
     /// DGI self-supervised pretraining over unlabeled path samples.
-    /// Returns the mean loss of the final epoch (no-op returning 0 when
-    /// [`ModelConfig::use_dgi`] is off).
+    /// Returns the mean loss of the final epoch over the paths it trained
+    /// on (those with at least two nodes); 0 when there are none or when
+    /// [`ModelConfig::use_dgi`] is off.
     ///
     /// A non-finite epoch (NaN loss or parameters — including the
     /// `gnnmls-faults` `NanGradient` seam) is rolled back to the last
@@ -279,10 +315,12 @@ impl GnnMls {
         while epoch < self.cfg.pretrain_epochs {
             let snapshot = self.enc_params.tensors().to_vec();
             let mut sum = 0.0f32;
+            let mut trained = 0usize;
             for s in samples {
                 if s.len() < 2 {
                     continue;
                 }
+                trained += 1;
                 let x = self.features_of(s)?;
                 let xc = corrupt_features(&x, &mut self.rng);
                 let mut tape = Tape::new();
@@ -322,7 +360,7 @@ impl GnnMls {
                 );
                 continue;
             }
-            last_epoch_loss = sum / samples.len().max(1) as f32;
+            last_epoch_loss = sum / trained.max(1) as f32;
             epoch += 1;
         }
         Ok(last_epoch_loss)
@@ -363,20 +401,30 @@ impl GnnMls {
         let repeat = neg_nodes
             .checked_div(pos_nodes)
             .map_or(1, |r| (r / 3).clamp(1, 6));
-        let order: Vec<&PathSample> = samples
+        let order: Vec<usize> = samples
             .iter()
-            .flat_map(|s| {
+            .enumerate()
+            .flat_map(|(i, s)| {
                 let has_pos = s.labels.as_ref().is_some_and(|l| l.iter().any(|&b| b));
-                std::iter::repeat_n(s, if has_pos { repeat } else { 1 })
+                std::iter::repeat_n(i, if has_pos { repeat } else { 1 })
             })
             .collect();
+        // A frozen encoder gives a path the same embedding on every step,
+        // so encode each path once; the steps then only run the head.
+        let frozen: Option<Vec<Tensor>> = if self.cfg.finetune_encoder {
+            None
+        } else {
+            let embeddings = self.map_samples(samples, |s| self.embed(s));
+            Some(embeddings.into_iter().collect::<Result<_, _>>()?)
+        };
         let mut epoch = 0;
         while epoch < self.cfg.finetune_epochs {
             let head_snap = self.head_params.tensors().to_vec();
             let enc_snap = self.enc_params.tensors().to_vec();
             metrics = Classification::default();
             let mut loss_sum = 0.0f32;
-            for &s in &order {
+            for &i in &order {
+                let s = &samples[i];
                 if s.is_empty() {
                     continue;
                 }
@@ -384,12 +432,16 @@ impl GnnMls {
                     return Err(ModelError::MissingLabels);
                 };
                 let targets: Vec<f32> = labels.iter().map(|&b| f32::from(b)).collect();
-                let x = self.features_of(s)?;
                 let mut tape = Tape::new();
-                let pv_enc = self.enc_params.bind(&mut tape);
+                let (h, pv_enc) = match &frozen {
+                    Some(embeddings) => (tape.leaf(embeddings[i].clone()), None),
+                    None => {
+                        let pv_enc = self.enc_params.bind(&mut tape);
+                        let xv = tape.leaf(self.features_of(s)?);
+                        (self.encode(&mut tape, &pv_enc, xv, s.len()), Some(pv_enc))
+                    }
+                };
                 let pv_head = self.head_params.bind(&mut tape);
-                let xv = tape.leaf(x);
-                let h = self.encode(&mut tape, &pv_enc, xv, s.len());
                 let z = self.head.forward(&mut tape, &pv_head, h);
                 let loss = tape.bce_with_logits(z, &targets);
                 loss_sum += tape.value(loss).get(0, 0);
@@ -399,7 +451,7 @@ impl GnnMls {
                 let grads = tape.backward(loss);
                 let gh = pv_head.collect_grads(&grads, &self.head_params);
                 head_adam.step(&mut self.head_params, &gh);
-                if self.cfg.finetune_encoder {
+                if let Some(pv_enc) = pv_enc {
                     let ge = pv_enc.collect_grads(&grads, &self.enc_params);
                     enc_adam.step(&mut self.enc_params, &ge);
                 }
@@ -447,13 +499,11 @@ impl GnnMls {
     /// Returns [`ModelError::NotTrained`] if the scaler has not been fit
     /// (train or restore a checkpoint first).
     pub fn predict_path(&self, sample: &PathSample) -> Result<Vec<f32>, ModelError> {
-        let x = self.features_of(sample)?;
+        let h = self.embed(sample)?;
         let mut tape = Tape::new();
-        let pv_enc = self.enc_params.bind(&mut tape);
         let pv_head = self.head_params.bind(&mut tape);
-        let xv = tape.leaf(x);
-        let h = self.encode(&mut tape, &pv_enc, xv, sample.len());
-        let z = self.head.forward(&mut tape, &pv_head, h);
+        let hv = tape.leaf(h);
+        let z = self.head.forward(&mut tape, &pv_head, hv);
         Ok(tape
             .value(z)
             .as_slice()
@@ -480,18 +530,9 @@ impl GnnMls {
         if self.scaler.is_none() {
             return Err(ModelError::NotTrained);
         }
-        let predict_one = |s: &PathSample| {
-            let Ok(probs) = self.predict_path(s) else {
-                unreachable!("scaler checked above");
-            };
-            probs
-        };
-        // A worker panic is retried serially; if even that fails, fall
-        // back to the plain serial loop (a panic there is a real bug).
-        match gnnmls_par::recovering_par_map(self.threads, samples, predict_one) {
-            Ok(v) => Ok(v),
-            Err(_) => Ok(samples.iter().map(predict_one).collect()),
-        }
+        self.map_samples(samples, |s| self.predict_path(s))
+            .into_iter()
+            .collect()
     }
 
     /// Evaluates classification metrics against oracle labels.
@@ -508,26 +549,16 @@ impl GnnMls {
             return Err(ModelError::NotTrained);
         }
         // Per-sample prediction is pure; fan it out, fold in input order.
-        let eval_one = |s: &PathSample| {
-            let Some(labels) = s.labels.as_ref() else {
-                unreachable!("labels checked above");
-            };
-            let Ok(probs) = self.predict_path(s) else {
-                unreachable!("scaler checked above");
-            };
+        let per_sample = self.map_samples(samples, |s| {
+            let labels = s.labels.as_ref().ok_or(ModelError::MissingLabels)?;
+            let probs = self.predict_path(s)?;
             let logits =
                 Tensor::from_flat(probs.len(), 1, probs.iter().map(|&p| p - 0.5).collect());
-            Classification::from_logits(&logits, labels)
-        };
-        // A worker panic is retried serially; if even that fails, fall
-        // back to the plain serial loop (a panic there is a real bug).
-        let per_sample = match gnnmls_par::recovering_par_map(self.threads, samples, eval_one) {
-            Ok(v) => v,
-            Err(_) => samples.iter().map(eval_one).collect(),
-        };
+            Ok(Classification::from_logits(&logits, labels))
+        });
         let mut m = Classification::default();
-        for c in &per_sample {
-            m = m.merge(c);
+        for c in per_sample {
+            m = m.merge(&c?);
         }
         Ok(m)
     }
@@ -549,27 +580,19 @@ impl GnnMls {
         }
         // Predict violating paths concurrently, then reduce serially in
         // input order (max-per-net is order-independent anyway).
-        let predict_one = |s: &PathSample| {
+        let probs_per_sample = self.map_samples(samples, |s| {
             if s.path.slack_ps >= 0.0 {
-                None
+                Ok(None)
             } else {
-                let Ok(probs) = self.predict_path(s) else {
-                    unreachable!("scaler checked above");
-                };
-                Some(probs)
+                self.predict_path(s).map(Some)
             }
-        };
-        let probs_per_sample =
-            match gnnmls_par::recovering_par_map(self.threads, samples, predict_one) {
-                Ok(v) => v,
-                Err(_) => samples.iter().map(predict_one).collect(),
-            };
+        });
         let mut best: HashMap<NetId, f32> = HashMap::new();
-        for (s, probs) in samples.iter().zip(&probs_per_sample) {
-            let Some(probs) = probs else {
+        for (s, probs) in samples.iter().zip(probs_per_sample) {
+            let Some(probs) = probs? else {
                 continue;
             };
-            for ((&net, &eligible), &p) in s.nets.iter().zip(&s.eligible).zip(probs) {
+            for ((&net, &eligible), p) in s.nets.iter().zip(&s.eligible).zip(probs) {
                 if !eligible {
                     continue;
                 }
@@ -834,6 +857,148 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// Fine-tuning with a frozen encoder that re-encodes every path on
+    /// every step: encoder and head share one tape, backward runs
+    /// through both, and only the head steps. [`GnnMls::finetune`] must
+    /// match it bit for bit.
+    fn finetune_per_step(model: &mut GnnMls, samples: &[PathSample]) -> Classification {
+        model.fit_scaler(samples);
+        let mut head_adam = Adam::new(model.cfg.lr);
+        let (mut pos, mut neg) = (0usize, 0usize);
+        for l in samples.iter().filter_map(|s| s.labels.as_ref()) {
+            pos += l.iter().filter(|&&b| b).count();
+            neg += l.iter().filter(|&&b| !b).count();
+        }
+        let repeat = neg.checked_div(pos).map_or(1, |r| (r / 3).clamp(1, 6));
+        let order: Vec<&PathSample> = samples
+            .iter()
+            .flat_map(|s| {
+                let has_pos = s.labels.as_ref().is_some_and(|l| l.iter().any(|&b| b));
+                std::iter::repeat_n(s, if has_pos { repeat } else { 1 })
+            })
+            .collect();
+        let mut metrics = Classification::default();
+        for epoch in 0..model.cfg.finetune_epochs {
+            metrics = Classification::default();
+            for &s in order.iter().filter(|s| !s.is_empty()) {
+                let labels = s.labels.as_ref().unwrap();
+                let targets: Vec<f32> = labels.iter().map(|&b| f32::from(b)).collect();
+                let x = model.features_of(s).unwrap();
+                let mut tape = Tape::new();
+                let pv_enc = model.enc_params.bind(&mut tape);
+                let pv_head = model.head_params.bind(&mut tape);
+                let xv = tape.leaf(x);
+                let h = model.encode(&mut tape, &pv_enc, xv, s.len());
+                let z = model.head.forward(&mut tape, &pv_head, h);
+                let loss = tape.bce_with_logits(z, &targets);
+                if epoch + 1 == model.cfg.finetune_epochs {
+                    metrics = metrics.merge(&Classification::from_logits(tape.value(z), labels));
+                }
+                let grads = tape.backward(loss);
+                let gh = pv_head.collect_grads(&grads, &model.head_params);
+                head_adam.step(&mut model.head_params, &gh);
+            }
+        }
+        metrics
+    }
+
+    fn bits(tensors: &[Tensor]) -> Vec<u32> {
+        tensors
+            .iter()
+            .flat_map(|t| t.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn frozen_encoder_finetune_matches_the_per_step_loop_bit_for_bit() {
+        let mut samples = synthetic_samples(16, 10);
+        // An unlabeled empty path: both loops must skip it.
+        let mut empty = samples[0].clone();
+        empty.features.clear();
+        empty.nets.clear();
+        empty.eligible.clear();
+        empty.labels = None;
+        samples.insert(5, empty);
+        for encoder in [EncoderKind::Transformer, EncoderKind::Gcn] {
+            let cfg = ModelConfig {
+                encoder,
+                pretrain_epochs: 1,
+                finetune_epochs: 4,
+                ..ModelConfig::default()
+            };
+            let mut cached = GnnMls::new(cfg.clone());
+            // Force the parallel embedding pass.
+            cached.set_threads(4);
+            let mut reference = GnnMls::new(cfg);
+            cached.pretrain(&samples).unwrap();
+            reference.pretrain(&samples).unwrap();
+            let encoder_before = bits(cached.encoder_tensors());
+
+            let got = cached.finetune(&samples).unwrap();
+            let want = finetune_per_step(&mut reference, &samples);
+            assert_eq!(got, want, "{encoder:?}: final-epoch metrics");
+            assert!(got.total() > 0);
+            assert_eq!(
+                bits(cached.head_tensors()),
+                bits(reference.head_tensors()),
+                "{encoder:?}: head tensors"
+            );
+            assert_eq!(
+                bits(cached.encoder_tensors()),
+                encoder_before,
+                "{encoder:?}: a frozen encoder must not move"
+            );
+        }
+    }
+
+    #[test]
+    fn finetune_encoder_ablation_still_trains_the_encoder() {
+        let samples = synthetic_samples(8, 11);
+        let mut model = GnnMls::new(ModelConfig {
+            finetune_encoder: true,
+            finetune_epochs: 2,
+            ..ModelConfig::default()
+        });
+        let before = bits(model.encoder_tensors());
+        model.finetune(&samples).unwrap();
+        assert_ne!(
+            bits(model.encoder_tensors()),
+            before,
+            "the ablation must train the encoder, not read cached embeddings"
+        );
+    }
+
+    #[test]
+    fn pretrain_loss_averages_over_the_paths_it_trained_on() {
+        let multi = synthetic_samples(8, 12);
+        let single = |s: &PathSample| {
+            let mut s = s.clone();
+            s.features.truncate(1);
+            s.nets.truncate(1);
+            s.eligible.truncate(1);
+            s.labels.as_mut().unwrap().truncate(1);
+            s
+        };
+        // DGI skips single-node paths; interleave some.
+        let mut mixed = multi.clone();
+        for k in [7, 3, 0] {
+            mixed.insert(k, single(&multi[k]));
+        }
+        let cfg = ModelConfig {
+            pretrain_epochs: 2,
+            ..ModelConfig::default()
+        };
+        let (mut a, mut b) = (GnnMls::new(cfg.clone()), GnnMls::new(cfg.clone()));
+        a.fit_scaler(&mixed);
+        b.fit_scaler(&mixed);
+        let loss = a.pretrain(&multi).unwrap();
+        assert!(loss.is_finite() && loss > 0.0);
+        assert_eq!(b.pretrain(&mixed).unwrap().to_bits(), loss.to_bits());
+
+        let singles: Vec<PathSample> = multi.iter().map(single).collect();
+        assert_eq!(GnnMls::new(cfg).pretrain(&singles).unwrap(), 0.0);
     }
 
     #[test]

@@ -3,9 +3,16 @@
 //! Library crates call [`fire`] at their stage seams ("would a fault
 //! happen here?"). With no [`FaultPlan`] installed the call is a single
 //! relaxed atomic load — effectively free — so the seams stay in
-//! release builds. Tests (and the `GNNMLS_FAULTS` env knob) install a
-//! plan with [`install`]; the returned [`FaultGuard`] holds a global
-//! lock so concurrent fault tests serialize, and disarms on drop.
+//! release builds.
+//!
+//! Plans are scoped. [`install`] arms a plan for the calling thread
+//! only, and `gnnmls-par` carries the caller's [`FaultScope`] into the
+//! workers it forks, so a test's shots reach its own flow and nothing
+//! else: parallel test threads never consume each other's shots.
+//! [`install_global`] arms a plan for every thread without a scope of
+//! its own; the `GNNMLS_FAULTS` env knob and in-process daemon tests
+//! (whose seams fire on server threads) use it, and global plans
+//! serialize on a lock. Either guard disarms on drop.
 //!
 //! Every fault is deterministic: a plan is a set of `(site, shots)`
 //! pairs, and `fire(site)` returns `true` exactly `shots` times for
@@ -18,9 +25,11 @@
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 #![cfg_attr(test, allow(clippy::print_stdout, clippy::print_stderr))]
 
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A seam in the flow where a fault can be injected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -285,93 +294,224 @@ impl FaultPlan {
     }
 }
 
-/// Fast armed check + per-site remaining-shot counters.
-static ARMED: AtomicBool = AtomicBool::new(false);
-static REMAINING: [AtomicU32; ALL_SITES.len()] = [
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-    AtomicU32::new(0),
-];
-
-fn install_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
+/// The live state of one installed plan: shots left per site, and the
+/// recoveries noted by code running under it.
+#[derive(Debug)]
+struct Shots {
+    remaining: [AtomicU32; ALL_SITES.len()],
+    recovered: AtomicU32,
 }
 
-/// RAII guard returned by [`install`]; disarms all faults on drop and
-/// serializes concurrent fault tests via a global lock.
-pub struct FaultGuard {
-    _lock: MutexGuard<'static, ()>,
+impl Shots {
+    fn arm(plan: &FaultPlan) -> Arc<Self> {
+        Arc::new(Self {
+            remaining: std::array::from_fn(|i| AtomicU32::new(plan.shots[i])),
+            recovered: AtomicU32::new(0),
+        })
+    }
+
+    fn take(&self, site: FaultSite) -> bool {
+        self.remaining[site.index()]
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
+            .is_ok()
+    }
 }
 
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        ARMED.store(false, Ordering::SeqCst);
-        for slot in REMAINING.iter() {
-            slot.store(0, Ordering::SeqCst);
+/// Live plans that schedule at least one shot, scoped or global. Zero
+/// is the fast path of [`fire`].
+static ARMED: AtomicUsize = AtomicUsize::new(0);
+
+/// The plan of every thread without a scope of its own.
+static GLOBAL: Mutex<Option<Arc<Shots>>> = Mutex::new(None);
+
+/// Serializes [`install_global`] callers.
+static GLOBAL_INSTALL: Mutex<()> = Mutex::new(());
+
+/// Recoveries noted on threads without a scope.
+static UNSCOPED_RECOVERED: AtomicU32 = AtomicU32::new(0);
+
+thread_local! {
+    static SCOPE: RefCell<Option<Arc<Shots>>> = const { RefCell::new(None) };
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The calling thread's scope, if it has one. `None` while the thread
+/// is being torn down, too.
+fn thread_scope() -> Option<Arc<Shots>> {
+    SCOPE.try_with(|s| s.borrow().clone()).ok().flatten()
+}
+
+/// Makes `shots` the calling thread's scope; returns the one it replaces.
+fn set_thread_scope(shots: Option<Arc<Shots>>) -> Option<Arc<Shots>> {
+    SCOPE
+        .try_with(|s| std::mem::replace(&mut *s.borrow_mut(), shots))
+        .ok()
+        .flatten()
+}
+
+/// The plan [`fire`] consults on this thread: its scope, else the global one.
+fn current_shots() -> Option<Arc<Shots>> {
+    thread_scope().or_else(|| lock(&GLOBAL).clone())
+}
+
+/// A thread's fault scope, as a handle that can be carried into the
+/// threads it forks. `gnnmls-par` takes the caller's
+/// [`FaultScope::current`] and [`enter`](FaultScope::enter)s it in
+/// every worker, so an injected fault reaches the caller's own map and
+/// its recoveries are tallied where the caller reads them.
+#[derive(Clone, Debug, Default)]
+pub struct FaultScope(Option<Arc<Shots>>);
+
+impl FaultScope {
+    /// The calling thread's scope (empty when none was installed on it).
+    pub fn current() -> Self {
+        Self(thread_scope())
+    }
+
+    /// Makes this scope the calling thread's until the guard drops. An
+    /// empty scope is a no-op, so unscoped callers leave their workers
+    /// on the global plan.
+    pub fn enter(&self) -> ScopeGuard {
+        ScopeGuard {
+            prev: self.0.clone().map(|s| set_thread_scope(Some(s))),
+            _thread: PhantomData,
         }
     }
 }
 
-/// Installs a plan; faults stay armed until the guard drops.
-///
-/// Only one plan can be active at a time — a second `install` blocks
-/// until the first guard drops, so `cargo test`'s default parallel
-/// test threads cannot interleave two fault schedules.
-pub fn install(plan: &FaultPlan) -> FaultGuard {
-    let lock = install_lock()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    for (slot, &shots) in REMAINING.iter().zip(plan.shots.iter()) {
-        slot.store(shots, Ordering::SeqCst);
-    }
-    ARMED.store(!plan.is_empty(), Ordering::SeqCst);
-    FaultGuard { _lock: lock }
+/// RAII guard returned by [`FaultScope::enter`]; restores the thread's
+/// previous scope on drop.
+#[must_use = "the scope is left when the guard drops"]
+pub struct ScopeGuard {
+    /// `Some(previous scope)` when a scope was entered.
+    prev: Option<Option<Arc<Shots>>>,
+    /// Thread-local state: the guard must drop on the entering thread.
+    _thread: PhantomData<*const ()>,
 }
 
-/// Installs the plan from `GNNMLS_FAULTS`, if any.
+impl Drop for ScopeGuard {
+    fn drop(&mut self) {
+        if let Some(prev) = self.prev.take() {
+            set_thread_scope(prev);
+        }
+    }
+}
+
+/// RAII guard returned by [`install`] and [`install_global`]; disarms
+/// its plan on drop. Scoped guards nest and must drop in reverse order
+/// on the installing thread.
+#[must_use = "the plan is disarmed when the guard drops"]
+pub struct FaultGuard {
+    /// Set for a scoped plan: restores the thread's previous scope.
+    _scope: Option<ScopeGuard>,
+    /// Set for a global plan: holds [`GLOBAL_INSTALL`] so global plans
+    /// never overlap.
+    serial: Option<MutexGuard<'static, ()>>,
+    /// Whether the plan counts in [`ARMED`].
+    armed: bool,
+}
+
+impl Drop for FaultGuard {
+    fn drop(&mut self) {
+        if self.serial.is_some() {
+            *lock(&GLOBAL) = None;
+        }
+        if self.armed {
+            ARMED.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+fn arm(plan: &FaultPlan) -> (Arc<Shots>, bool) {
+    let armed = !plan.is_empty();
+    if armed {
+        ARMED.fetch_add(1, Ordering::SeqCst);
+    }
+    (Shots::arm(plan), armed)
+}
+
+/// Installs a plan for the calling thread (and the `gnnmls-par` workers
+/// it forks); faults stay armed until the guard drops.
+///
+/// Other threads never see the plan, so `cargo test`'s parallel test
+/// threads each get exactly their own shots without waiting on each
+/// other. An empty plan still gives the thread a scope of its own,
+/// which shields it from a global plan.
+pub fn install(plan: &FaultPlan) -> FaultGuard {
+    let (shots, armed) = arm(plan);
+    FaultGuard {
+        _scope: Some(FaultScope(Some(shots)).enter()),
+        serial: None,
+        armed,
+    }
+}
+
+/// Installs a plan for every thread without a scope of its own, such as
+/// the threads of an in-process daemon; faults stay armed until the
+/// guard drops.
+///
+/// Only one global plan can be active at a time: a second call blocks
+/// until the first guard drops. A global plan reaches every unscoped
+/// thread, so tests that use it must also keep their other work off the
+/// seams it arms (the serve suites hold a per-file lock for that).
+pub fn install_global(plan: &FaultPlan) -> FaultGuard {
+    let serial = lock(&GLOBAL_INSTALL);
+    let (shots, armed) = arm(plan);
+    *lock(&GLOBAL) = Some(shots);
+    FaultGuard {
+        _scope: None,
+        serial: Some(serial),
+        armed,
+    }
+}
+
+/// Installs the plan from `GNNMLS_FAULTS`, if any, process-wide.
 pub fn install_from_env() -> Option<FaultGuard> {
-    FaultPlan::from_env().map(|p| install(&p))
+    FaultPlan::from_env().map(|p| install_global(&p))
 }
 
 /// Should a fault fire at this seam? Consumes one shot when it does.
 ///
-/// With nothing installed this is one relaxed atomic load. An actual
-/// activation (rare by construction) is counted into the
-/// `gnnmls_faults_fired_total{site=...}` metric and, when a trace sink
-/// is installed, emitted as a `fault` event.
+/// The calling thread's scope decides; a thread without one follows the
+/// global plan. With nothing installed anywhere this is one relaxed
+/// atomic load. An actual activation (rare by construction) is counted
+/// into the `gnnmls_faults_fired_total{site=...}` metric and, when a
+/// trace sink is installed, emitted as a `fault` event.
 #[inline]
 pub fn fire(site: FaultSite) -> bool {
-    if !ARMED.load(Ordering::Relaxed) {
+    if ARMED.load(Ordering::Relaxed) == 0 {
         return false;
     }
-    let slot = &REMAINING[site.index()];
-    let fired = slot
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-        .is_ok();
+    let fired = current_shots().is_some_and(|shots| shots.take(site));
     if fired {
         let name = site.to_string();
         gnnmls_obs::counter_add("gnnmls_faults_fired_total", &[("site", &name)], 1);
         gnnmls_obs::event("fault", &[("site", gnnmls_obs::FieldValue::Str(name))]);
     }
     fired
+}
+
+/// Notes one recovered failure (such as a retried worker panic) in the
+/// calling thread's scope, or in the process-wide tally when it has
+/// none. A run that reads [`recoveries`] before and after therefore
+/// counts only the failures injected into its own scope.
+pub fn note_recovery() {
+    match thread_scope() {
+        Some(shots) => shots.recovered.fetch_add(1, Ordering::SeqCst),
+        None => UNSCOPED_RECOVERED.fetch_add(1, Ordering::SeqCst),
+    };
+}
+
+/// Recoveries noted so far in the calling thread's scope (the
+/// process-wide tally when it has none).
+pub fn recoveries() -> u32 {
+    match thread_scope() {
+        Some(shots) => shots.recovered.load(Ordering::SeqCst),
+        None => UNSCOPED_RECOVERED.load(Ordering::SeqCst),
+    }
 }
 
 #[cfg(test)]
@@ -492,6 +632,79 @@ mod tests {
             before + 2,
             "only actual activations are counted"
         );
+    }
+
+    #[test]
+    fn scoped_plans_stay_on_their_thread() {
+        let guard = install(&FaultPlan::single(FaultSite::TornWrite, 1));
+        let elsewhere = std::thread::spawn(|| fire(FaultSite::TornWrite))
+            .join()
+            .unwrap();
+        assert!(!elsewhere, "another thread consumed this thread's shot");
+        assert!(fire(FaultSite::TornWrite));
+        assert!(!fire(FaultSite::TornWrite));
+        drop(guard);
+    }
+
+    #[test]
+    fn entered_scope_shares_shots_and_recoveries() {
+        let unscoped = UNSCOPED_RECOVERED.load(Ordering::SeqCst);
+        let guard = install(&FaultPlan::single(FaultSite::DiskFull, 3));
+        let scope = FaultScope::current();
+        let fired: u32 = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    let scope = &scope;
+                    s.spawn(move || {
+                        let _in = scope.enter();
+                        let n = (0..4).filter(|_| fire(FaultSite::DiskFull)).count();
+                        note_recovery();
+                        n as u32
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(fired, 3, "the shots are shared, not copied per worker");
+        assert_eq!(
+            recoveries(),
+            4,
+            "worker recoveries land in the caller's scope"
+        );
+        drop(guard);
+        assert_eq!(
+            recoveries(),
+            unscoped,
+            "nothing leaked into the process tally"
+        );
+    }
+
+    #[test]
+    fn nested_scopes_restore_in_order() {
+        let outer = install(&FaultPlan::single(FaultSite::ReadEio, 1));
+        let inner = install(&FaultPlan::none());
+        assert!(!fire(FaultSite::ReadEio), "the inner empty scope shields");
+        drop(inner);
+        assert!(fire(FaultSite::ReadEio), "the outer plan is back");
+        drop(outer);
+        assert!(!fire(FaultSite::ReadEio));
+    }
+
+    #[test]
+    fn global_plan_reaches_unscoped_threads_only() {
+        let shielded = install(&FaultPlan::none());
+        let guard = install_global(&FaultPlan::single(FaultSite::ShardStall, 2));
+        assert!(!fire(FaultSite::ShardStall), "a scoped thread ignores it");
+        let other = std::thread::spawn(|| fire(FaultSite::ShardStall))
+            .join()
+            .unwrap();
+        assert!(other, "an unscoped thread follows the global plan");
+        drop(guard);
+        let other = std::thread::spawn(|| fire(FaultSite::ShardStall))
+            .join()
+            .unwrap();
+        assert!(!other, "disarmed after drop");
+        drop(shielded);
     }
 
     #[test]

@@ -292,8 +292,8 @@ fn seeded_fault_storms_never_panic() {
 #[test]
 fn kill_after_any_stage_resumes_bit_identical() {
     let d = design();
-    // Hold the harness lock (disarmed) so a concurrently scheduled
-    // fault test cannot leak shots into these runs.
+    // An empty fault scope of its own: no global plan reaches these
+    // runs, and their recovery tally starts from zero.
     let guard = install(&FaultPlan::none());
 
     let cfg_ref = fast_cfg();

@@ -5,7 +5,7 @@
 //! accumulating gradients. Each op's backward rule is verified against
 //! central-difference numerical gradients in this module's tests.
 
-use crate::tensor::{gelu, gelu_grad, sigmoid, Tensor};
+use crate::tensor::{gelu_grad_tanh, gelu_tanh, sigmoid, Tensor};
 
 /// Handle to a tape node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,7 +27,11 @@ enum Op {
     AddRowBroadcast(usize, usize),
     Mul(usize, usize),
     Scale(usize, f32),
-    Gelu(usize),
+    /// Keeps the forward's tanh terms so backward need not recompute them.
+    Gelu {
+        x: usize,
+        tanh: Vec<f32>,
+    },
     Sigmoid(usize),
     SoftmaxRows(usize),
     LayerNormRows {
@@ -138,11 +142,10 @@ impl Tape {
 
     /// Elementwise GELU.
     pub fn gelu(&mut self, a: Var) -> Var {
-        let mut v = self.value(a).clone();
-        for x in v.as_mut_slice() {
-            *x = gelu(*x);
-        }
-        self.push(Op::Gelu(a.0), v)
+        let xv = self.value(a);
+        let (ys, tanh) = xv.as_slice().iter().map(|&x| gelu_tanh(x)).unzip();
+        let v = Tensor::from_flat(xv.rows(), xv.cols(), ys);
+        self.push(Op::Gelu { x: a.0, tanh }, v)
     }
 
     /// Elementwise sigmoid.
@@ -317,13 +320,13 @@ impl Tape {
                     accum(&mut grads, *b, gy.mul(&av));
                 }
                 Op::Scale(a, s) => accum(&mut grads, *a, gy.scale(*s)),
-                Op::Gelu(a) => {
-                    let xv = &self.nodes[*a].value;
-                    let mut gx = gy.clone();
-                    for (g, &x) in gx.as_mut_slice().iter_mut().zip(xv.as_slice()) {
-                        *g *= gelu_grad(x);
+                Op::Gelu { x, tanh } => {
+                    let xv = self.nodes[*x].value.as_slice();
+                    let mut gx = gy;
+                    for ((g, &xi), &t) in gx.as_mut_slice().iter_mut().zip(xv).zip(tanh) {
+                        *g *= gelu_grad_tanh(xi, t);
                     }
-                    accum(&mut grads, *a, gx);
+                    accum(&mut grads, *x, gx);
                 }
                 Op::Sigmoid(a) => {
                     let yv = &self.nodes[i].value;
@@ -567,6 +570,37 @@ mod tests {
                 let z = tape.matmul(m, v[2]);
                 tape.bce_with_logits(z, &[0.0, 1.0])
             });
+        }
+    }
+
+    #[test]
+    fn gelu_matches_the_scalar_kernels_bit_for_bit() {
+        use crate::tensor::{gelu, gelu_grad};
+        let xs = [
+            0.0f32, 1e-30, -1e-30, 0.5, -0.5, 3.0, -3.0, 20.0, -20.0, 1e4, -1e4,
+        ];
+        // A distinct upstream gradient per element: backward must be
+        // exactly `gy * gelu_grad(x)`.
+        let gys: Vec<f32> = (0..xs.len()).map(|i| 0.75 - 0.3 * i as f32).collect();
+        let mut tape = Tape::new();
+        let x = tape.leaf(Tensor::from_flat(1, xs.len(), xs.to_vec()));
+        let w = tape.leaf(Tensor::from_flat(1, xs.len(), gys.clone()));
+        let y = tape.gelu(x);
+        let m = tape.mul(y, w);
+        let loss = tape.sum_all(m);
+        let grads = tape.backward(loss);
+        let gx = grads.get(x).unwrap();
+        for (i, &xi) in xs.iter().enumerate() {
+            assert_eq!(
+                tape.value(y).as_slice()[i].to_bits(),
+                gelu(xi).to_bits(),
+                "forward at x={xi}"
+            );
+            assert_eq!(
+                gx.as_slice()[i].to_bits(),
+                (gys[i] * gelu_grad(xi)).to_bits(),
+                "backward at x={xi}"
+            );
         }
     }
 

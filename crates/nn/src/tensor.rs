@@ -256,18 +256,30 @@ impl Tensor {
     }
 }
 
+/// `sqrt(2/pi)`, the GELU tanh approximation's scale.
+const GELU_C: f32 = 0.797_884_6;
+
 /// GELU (tanh approximation) applied elementwise.
 pub fn gelu(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
+    gelu_tanh(x).0
 }
 
 /// Derivative of [`gelu`].
 pub fn gelu_grad(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let u = C * (x + 0.044_715 * x * x * x);
-    let t = u.tanh();
-    let du = C * (1.0 + 3.0 * 0.044_715 * x * x);
+    gelu_grad_tanh(x, gelu_tanh(x).1)
+}
+
+/// [`gelu`] together with its tanh term `t = tanh(C·(x + 0.044715·x³))`,
+/// which [`gelu_grad_tanh`] takes so a backward pass need not recompute
+/// it.
+pub fn gelu_tanh(x: f32) -> (f32, f32) {
+    let t = (GELU_C * (x + 0.044_715 * x * x * x)).tanh();
+    (0.5 * x * (1.0 + t), t)
+}
+
+/// [`gelu_grad`] from the tanh term `t` that [`gelu_tanh`] returns.
+pub fn gelu_grad_tanh(x: f32, t: f32) -> f32 {
+    let du = GELU_C * (1.0 + 3.0 * 0.044_715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 }
 

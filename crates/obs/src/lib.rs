@@ -59,6 +59,6 @@ pub use metrics::{
 pub use render::render;
 pub use sink::{
     enabled, init_from_env, install, install_guarded, uninstall, JsonlSink, MemorySink, Sink,
-    SinkGuard, TRACE_ENV,
+    SinkGuard, TraceScope, TraceScopeGuard, TRACE_ENV,
 };
 pub use span::{event, span, warn, FieldValue, Span};

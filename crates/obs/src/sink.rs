@@ -1,16 +1,20 @@
 //! Trace sinks: where emitted JSONL records go.
 //!
-//! Exactly one sink is installed at a time. The emission hot-path gate
-//! is a single relaxed atomic ([`enabled`]); when it reads `false`,
-//! spans are inert (no clock read, no allocation) — the pattern the
-//! `gnnmls-faults` crate uses for its `ARMED` flag, benched by the
-//! `obs-overhead` bench.
+//! A thread emits into its scoped sink ([`install_guarded`], carried
+//! into `gnnmls-par` workers by [`TraceScope`]) when it has one, else
+//! into the process-wide sink ([`install`], [`init_from_env`]). The
+//! emission hot-path gate is a single relaxed atomic ([`enabled`]) when
+//! no sink is installed anywhere; then spans are inert (no clock read,
+//! no allocation) — the pattern the `gnnmls-faults` crate uses for its
+//! `ARMED` count, benched by the `obs-overhead` bench.
 
+use std::cell::RefCell;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
+use std::marker::PhantomData;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Environment variable naming the JSONL trace file.
 pub const TRACE_ENV: &str = "GNNMLS_TRACE";
@@ -21,35 +25,60 @@ pub trait Sink: Send + Sync {
     fn emit(&self, line: &str);
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Bit 0: a process-wide sink is installed. The rest counts live
+/// scoped sinks, in steps of [`SCOPED_ONE`].
+static STATE: AtomicUsize = AtomicUsize::new(0);
+const GLOBAL_BIT: usize = 1;
+const SCOPED_ONE: usize = 2;
+
 static SINK: Mutex<Option<Arc<dyn Sink>>> = Mutex::new(None);
 
-/// Whether a sink is installed. One relaxed load; callers use this to
-/// skip building records entirely.
+thread_local! {
+    static SCOPED: RefCell<Option<Arc<dyn Sink>>> = const { RefCell::new(None) };
+}
+
+/// The calling thread's scoped sink, if any (`None` during teardown).
+fn thread_sink() -> Option<Arc<dyn Sink>> {
+    SCOPED.try_with(|s| s.borrow().clone()).ok().flatten()
+}
+
+/// Makes `sink` the calling thread's scoped sink; returns the old one.
+fn set_thread_sink(sink: Option<Arc<dyn Sink>>) -> Option<Arc<dyn Sink>> {
+    SCOPED
+        .try_with(|s| std::mem::replace(&mut *s.borrow_mut(), sink))
+        .ok()
+        .flatten()
+}
+
+/// Whether records emitted on this thread reach a sink. One relaxed
+/// load when no sink is installed anywhere; callers use this to skip
+/// building records entirely.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    match STATE.load(Ordering::Relaxed) {
+        0 => false,
+        state if state & GLOBAL_BIT != 0 => true,
+        _ => SCOPED.try_with(|s| s.borrow().is_some()).unwrap_or(false),
+    }
 }
 
 /// Installs `sink` as the process-wide trace destination and enables
-/// emission. Replaces any previous sink.
+/// emission on every thread without a scoped sink. Replaces any
+/// previous process-wide sink.
 pub fn install(sink: Arc<dyn Sink>) {
     *SINK.lock().unwrap_or_else(PoisonError::into_inner) = Some(sink);
-    ENABLED.store(true, Ordering::SeqCst);
+    STATE.fetch_or(GLOBAL_BIT, Ordering::SeqCst);
 }
 
-/// Disables emission and drops the installed sink.
+/// Drops the process-wide sink. Scoped sinks stay installed.
 pub fn uninstall() {
-    ENABLED.store(false, Ordering::SeqCst);
+    STATE.fetch_and(!GLOBAL_BIT, Ordering::SeqCst);
     *SINK.lock().unwrap_or_else(PoisonError::into_inner) = None;
 }
 
 pub(crate) fn emit_line(line: &str) {
-    let sink = SINK
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .as_ref()
-        .cloned();
+    let sink =
+        thread_sink().or_else(|| SINK.lock().unwrap_or_else(PoisonError::into_inner).clone());
     if let Some(s) = sink {
         s.emit(line);
     }
@@ -138,32 +167,71 @@ impl Sink for MemorySink {
     }
 }
 
-static TEST_LOCK: Mutex<()> = Mutex::new(());
+/// A thread's scoped sink, as a handle that can be carried into the
+/// threads it forks: `gnnmls-par` takes the caller's
+/// [`TraceScope::current`] and [`enter`](TraceScope::enter)s it in every
+/// worker, so a traced run captures its workers' records too.
+#[derive(Clone, Default)]
+pub struct TraceScope(Option<Arc<dyn Sink>>);
 
-#[cfg(test)]
-pub(crate) fn test_lock() -> MutexGuard<'static, ()> {
-    TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+impl TraceScope {
+    /// The calling thread's scoped sink (empty when it has none).
+    pub fn current() -> Self {
+        Self(thread_sink())
+    }
+
+    /// Makes this the calling thread's scoped sink until the guard
+    /// drops. An empty scope is a no-op, so the thread keeps emitting
+    /// into the process-wide sink, if any.
+    pub fn enter(&self) -> TraceScopeGuard {
+        TraceScopeGuard {
+            prev: self.0.clone().map(|s| set_thread_sink(Some(s))),
+            _thread: PhantomData,
+        }
+    }
 }
 
-/// Serialized install for tests: holds a process-global lock while the
-/// sink is active so concurrently running tests cannot interleave their
-/// records, and uninstalls on drop.
+/// RAII guard returned by [`TraceScope::enter`]; restores the thread's
+/// previous scoped sink on drop.
+#[must_use = "the scope is left when the guard drops"]
+pub struct TraceScopeGuard {
+    /// `Some(previous sink)` when a scope was entered.
+    prev: Option<Option<Arc<dyn Sink>>>,
+    /// Thread-local state: the guard must drop on the entering thread.
+    _thread: PhantomData<*const ()>,
+}
+
+impl Drop for TraceScopeGuard {
+    fn drop(&mut self) {
+        if let Some(prev) = self.prev.take() {
+            set_thread_sink(prev);
+        }
+    }
+}
+
+/// A scoped sink installed by [`install_guarded`]; dropping it restores
+/// the thread's previous scoped sink. Guards nest and must drop in
+/// reverse order on the installing thread.
+#[must_use = "the sink is uninstalled when the guard drops"]
 pub struct SinkGuard {
-    _lock: MutexGuard<'static, ()>,
+    _scope: TraceScopeGuard,
 }
 
 impl Drop for SinkGuard {
     fn drop(&mut self) {
-        uninstall();
+        STATE.fetch_sub(SCOPED_ONE, Ordering::SeqCst);
     }
 }
 
-/// Installs `sink` under the test serialization lock; dropping the
-/// guard uninstalls it. Use in tests instead of [`install`].
+/// Installs `sink` for the calling thread and the `gnnmls-par` workers
+/// it forks, until the guard drops. Records from other threads never
+/// reach it, so concurrently running tests each capture exactly their
+/// own run. Use in tests instead of [`install`].
 pub fn install_guarded(sink: Arc<dyn Sink>) -> SinkGuard {
-    let lock = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    install(sink);
-    SinkGuard { _lock: lock }
+    STATE.fetch_add(SCOPED_ONE, Ordering::SeqCst);
+    SinkGuard {
+        _scope: TraceScope(Some(sink)).enter(),
+    }
 }
 
 #[cfg(test)]
@@ -180,6 +248,35 @@ mod tests {
         assert!(!enabled());
         emit_line("{\"t\":2}");
         assert_eq!(mem.lines(), vec!["{\"t\":1}".to_string()]);
+    }
+
+    #[test]
+    fn scoped_sink_captures_its_thread_and_entered_workers_only() {
+        let mem = Arc::new(MemorySink::new());
+        let guard = install_guarded(mem.clone());
+        let scope = TraceScope::current();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(!enabled(), "an unscoped thread stays inert");
+                emit_line("{\"from\":\"stranger\"}");
+            });
+            s.spawn(|| {
+                let _in = scope.enter();
+                assert!(enabled());
+                emit_line("{\"from\":\"worker\"}");
+            });
+        });
+        emit_line("{\"from\":\"owner\"}");
+        drop(guard);
+        let mut lines = mem.lines();
+        lines.sort();
+        assert_eq!(
+            lines,
+            vec![
+                "{\"from\":\"owner\"}".to_string(),
+                "{\"from\":\"worker\"}".to_string()
+            ]
+        );
     }
 
     #[test]

@@ -17,7 +17,12 @@
 //! the failing index, and a [`recovering_par_map_with`] variant the
 //! flow's hot paths use — it retries the whole map serially once after
 //! a worker panic (deterministic, since results are ordered) and
-//! counts the recovery in a process-global tally the flow report reads.
+//! counts the recovery in a tally the flow report reads.
+//!
+//! Every worker runs in its caller's `gnnmls-faults` scope and
+//! `gnnmls-obs` trace scope, so a fault plan or trace sink installed on
+//! the calling thread reaches the map's items, and recoveries are
+//! tallied in that same scope.
 
 // Diagnostics flow through gnnmls-obs, never straight to the
 // process streams.
@@ -25,10 +30,10 @@
 #![cfg_attr(test, allow(clippy::print_stdout, clippy::print_stderr))]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once, PoisonError};
 
-use gnnmls_faults::{fire, FaultSite};
+use gnnmls_faults::{fire, FaultScope, FaultSite};
 
 /// Number of logical cores (the `threads = 0` default).
 pub fn available_parallelism() -> usize {
@@ -137,21 +142,19 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Process-global count of worker panics recovered by the
-/// `recovering_*` maps. The flow snapshots this before and after a run
-/// to report recovered degradations; injected faults are serialized by
-/// the `gnnmls-faults` guard, so the delta is deterministic.
-static RECOVERED: AtomicU32 = AtomicU32::new(0);
-
-/// Same tally, exposed in the metrics exposition.
+/// Process-wide count of worker panics recovered by the
+/// `recovering_*` maps, for the metrics exposition.
 static RECOVERED_PANICS_TOTAL: gnnmls_obs::Counter = gnnmls_obs::Counter::new(
     "gnnmls_par_recovered_panics_total",
     "worker panics recovered by serial retry",
 );
 
-/// Total worker panics recovered by `recovering_*` maps so far.
+/// Worker panics recovered by `recovering_*` maps so far, counted in
+/// the calling thread's `gnnmls-faults` scope. The flow snapshots this
+/// before and after a run to report recovered degradations; a fault
+/// plan injected on another thread never reaches the delta.
 pub fn recovered_panics() -> u32 {
-    RECOVERED.load(Ordering::SeqCst)
+    gnnmls_faults::recoveries()
 }
 
 /// Ordered parallel map over `0..n`: returns `vec![f(0), f(1), ..]`.
@@ -263,6 +266,8 @@ where
     let slots = SlotWriter(results.as_mut_ptr());
     let next = AtomicUsize::new(0);
     let first_error: Mutex<Option<ParError>> = Mutex::new(None);
+    let faults = FaultScope::current();
+    let trace = gnnmls_obs::TraceScope::current();
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -271,7 +276,11 @@ where
             let run_item = &run_item;
             let make_scratch = &make_scratch;
             let first_error = &first_error;
+            let faults = &faults;
+            let trace = &trace;
             scope.spawn(move || {
+                let _faults = faults.enter();
+                let _trace = trace.enter();
                 let mut scratch = make_scratch();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -343,7 +352,7 @@ where
         Err(e) => {
             gnnmls_obs::warn("gnnmls-par", &format!("{e}; retrying serially"));
             RECOVERED_PANICS_TOTAL.inc();
-            RECOVERED.fetch_add(1, Ordering::SeqCst);
+            gnnmls_faults::note_recovery();
             try_par_map_with(1, n, &make_scratch, &f)
         }
     }
@@ -683,6 +692,17 @@ mod tests {
         assert_eq!(got, (1..=20).collect::<Vec<_>>());
         assert_eq!(recovered_panics(), before + 1);
         drop(guard);
+    }
+
+    #[test]
+    fn workers_emit_into_the_callers_trace_sink() {
+        let sink = std::sync::Arc::new(gnnmls_obs::MemorySink::new());
+        let guard = gnnmls_obs::install_guarded(sink.clone());
+        par_map_n(4, 8, |i| {
+            gnnmls_obs::event("item", &[("i", gnnmls_obs::FieldValue::from(i))]);
+        });
+        drop(guard);
+        assert_eq!(sink.lines().len(), 8);
     }
 
     #[test]

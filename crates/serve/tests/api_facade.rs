@@ -7,13 +7,14 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use gnn_mls::session::SessionSpec;
-use gnnmls_faults::{install, FaultPlan, FaultSite};
+use gnnmls_faults::{install_global, FaultPlan, FaultSite};
 use gnnmls_serve::api;
 use gnnmls_serve::cluster::{ClusterConfig, ClusterFront, ShardBackendSpec};
 use gnnmls_serve::{RetryPolicy, ServeConfig, ServeError, Server};
 
-/// Fault shots are process-global; serialize the file's tests so one
-/// test's armed seam can never leak into another's traffic.
+/// The seams fire on daemon threads, so these tests arm global fault
+/// plans, which reach every thread of the process; serialize the file's
+/// tests so one test's armed seam can never leak into another's traffic.
 fn serialize_tests() -> MutexGuard<'static, ()> {
     static SER: Mutex<()> = Mutex::new(());
     SER.lock().unwrap_or_else(PoisonError::into_inner)
@@ -82,7 +83,7 @@ fn transient_shed_is_retried_and_permanent_refusal_is_typed() {
 
     // Two shed responses are absorbed by the facade's retry loop; the
     // caller only sees the eventual typed answer.
-    let guard = install(&FaultPlan::single(FaultSite::QueueOverflow, 2));
+    let guard = install_global(&FaultPlan::single(FaultSite::QueueOverflow, 2));
     let s = client.stats(&spec()).unwrap();
     drop(guard);
     assert!(s.busy >= 2, "the shed attempts were counted: {s:?}");

@@ -11,13 +11,14 @@ use std::time::{Duration, Instant};
 
 use gnn_mls::checkpoint::load_stage;
 use gnn_mls::session::SessionSpec;
-use gnnmls_faults::{install, FaultPlan, FaultSite};
+use gnnmls_faults::{install_global, FaultPlan, FaultSite};
 use gnnmls_serve::cluster::{ClusterConfig, ClusterFront, ShardBackendSpec, CLUSTER_STATS_STAGE};
 use gnnmls_serve::protocol::ResponseKind;
 use gnnmls_serve::{Client, ClusterStats, ServeConfig, Server};
 
-/// Fault shots are process-global; serialize the file's tests so one
-/// test's armed seam can never leak into another's traffic.
+/// The seams fire on daemon threads, so these tests arm global fault
+/// plans, which reach every thread of the process; serialize the file's
+/// tests so one test's armed seam can never leak into another's traffic.
 fn serialize_tests() -> MutexGuard<'static, ()> {
     static SER: Mutex<()> = Mutex::new(());
     SER.lock().unwrap_or_else(PoisonError::into_inner)
@@ -179,14 +180,14 @@ fn injected_fault_seams_are_absorbed_by_the_retry_path() {
 
     // shard-stall: the forward times out once; the failover path still
     // answers the same request.
-    let guard = install(&FaultPlan::single(FaultSite::ShardStall, 1));
+    let guard = install_global(&FaultPlan::single(FaultSite::ShardStall, 1));
     let r = client.what_if(&spec(), 1, true, None).unwrap();
     drop(guard);
     assert_eq!(r.kind, ResponseKind::Ok, "stall absorbed: {r:?}");
 
     // conn-reset: the front↔shard stream dies mid-exchange; same
     // contract.
-    let guard = install(&FaultPlan::single(FaultSite::ConnReset, 1));
+    let guard = install_global(&FaultPlan::single(FaultSite::ConnReset, 1));
     let r = client.what_if(&spec(), 2, true, None).unwrap();
     drop(guard);
     assert_eq!(r.kind, ResponseKind::Ok, "reset absorbed: {r:?}");
@@ -194,7 +195,7 @@ fn injected_fault_seams_are_absorbed_by_the_retry_path() {
     // shard-crash: the routed-to shard is declared dead before the
     // forward; the crash is counted and the breaker opens, and the
     // request is still answered.
-    let guard = install(&FaultPlan::single(FaultSite::ShardCrash, 1));
+    let guard = install_global(&FaultPlan::single(FaultSite::ShardCrash, 1));
     let r = client.what_if(&spec(), 3, true, None).unwrap();
     drop(guard);
     assert_eq!(r.kind, ResponseKind::Ok, "crash absorbed: {r:?}");
@@ -242,7 +243,7 @@ fn shard_stall_fails_over_typed_without_hung_threads() {
     assert_eq!(r.kind, ResponseKind::Ok);
     let before = failover_count(&client.metrics().unwrap().metrics.unwrap(), "stall");
 
-    let guard = install(&FaultPlan::single(FaultSite::ShardStall, 1));
+    let guard = install_global(&FaultPlan::single(FaultSite::ShardStall, 1));
     let t0 = Instant::now();
     let r = client.what_if(&spec(), 1, true, None).unwrap();
     let answered_in = t0.elapsed();

@@ -22,7 +22,7 @@ use gnn_mls::flow::FlowPolicy;
 use gnn_mls::session::SessionSpec;
 use gnn_mls::store::scrub_dir;
 use gnn_mls::ModelConfig;
-use gnnmls_faults::{install, FaultPlan, FaultSite};
+use gnnmls_faults::{install_global, FaultPlan, FaultSite};
 use gnnmls_par::rng::SplitMix64;
 use gnnmls_serve::client::RetryPolicy;
 use gnnmls_serve::cluster::{ClusterConfig, ClusterFront, ShardBackendSpec, ShardSpawnSpec};
@@ -309,7 +309,7 @@ fn chaos_soak_loses_nothing_and_recovers_warm() {
     // The drain itself must survive (the write is logged, not fatal),
     // fsck must delete the orphan, and a restart rewriting the envelope
     // from the returned stats must leave the directory fsck-clean.
-    let seam = install(&FaultPlan::single(FaultSite::RenameCrash, 1));
+    let seam = install_global(&FaultPlan::single(FaultSite::RenameCrash, 1));
     let cluster = front.shutdown();
     drop(seam);
     assert!(

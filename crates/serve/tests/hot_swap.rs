@@ -11,7 +11,7 @@ use gnn_mls::checkpoint::{ModelVersion, ZooModelCheckpoint};
 use gnn_mls::flow::FlowPolicy;
 use gnn_mls::session::SessionSpec;
 use gnn_mls::{GnnMls, ModelConfig};
-use gnnmls_faults::{install, FaultPlan, FaultSite};
+use gnnmls_faults::{install_global, FaultPlan, FaultSite};
 use gnnmls_serve::protocol::ResponseKind;
 use gnnmls_serve::{Client, ServeConfig, Server};
 use gnnmls_zoo::{build_corpus, train_zoo, CorpusConfig, Registry};
@@ -128,7 +128,7 @@ fn daemon_hot_swaps_refuses_damage_and_keeps_serving() {
     // The injected read-side corruption seam: typed refusal while the
     // shot is armed, clean swap right after — the daemon never wedges.
     {
-        let _guard = install(&FaultPlan::single(FaultSite::ModelSwapCorrupt, 1));
+        let _guard = install_global(&FaultPlan::single(FaultSite::ModelSwapCorrupt, 1));
         let seamed = client.load_model(ckpt_path.to_string_lossy()).unwrap();
         assert_eq!(seamed.kind, ResponseKind::Rejected, "{:?}", seamed.kind);
     }

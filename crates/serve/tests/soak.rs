@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use gnn_mls::checkpoint::load_stage;
 use gnn_mls::session::SessionSpec;
-use gnnmls_faults::{install, FaultPlan, ALL_SITES};
+use gnnmls_faults::{install_global, FaultPlan, ALL_SITES};
 use gnnmls_serve::client::{ClientError, RetryPolicy};
 use gnnmls_serve::protocol::ResponseKind;
 use gnnmls_serve::{Client, Request, ServeConfig, Server, ServerStats};
@@ -56,7 +56,7 @@ fn fault_storm_soak_survives_every_site() {
             let mut round = 0u64;
             while Instant::now() < deadline {
                 let plan = FaultPlan::from_seed(round.wrapping_mul(0x9E37).wrapping_add(1));
-                let guard = install(&plan);
+                let guard = install_global(&plan);
                 std::thread::sleep(Duration::from_millis(200));
                 drop(guard);
                 round += 1;

@@ -8,13 +8,14 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use gnn_mls::checkpoint::load_stage;
 use gnn_mls::session::{DesignSession, SessionSpec};
-use gnnmls_faults::{install, FaultPlan, FaultSite};
+use gnnmls_faults::{install_global, FaultPlan, FaultSite};
 use gnnmls_serve::client::{ClientError, RetryPolicy};
 use gnnmls_serve::protocol::ResponseKind;
 use gnnmls_serve::{Client, ServeConfig, Server, ServerStats};
 
-/// Fault shots are process-global; serialize the file's tests so one
-/// test's armed seam can never leak into another's traffic.
+/// The seams fire on daemon threads, so these tests arm global fault
+/// plans, which reach every thread of the process; serialize the file's
+/// tests so one test's armed seam can never leak into another's traffic.
 fn serialize_tests() -> MutexGuard<'static, ()> {
     static SER: Mutex<()> = Mutex::new(());
     SER.lock().unwrap_or_else(PoisonError::into_inner)
@@ -84,7 +85,7 @@ fn busy_exactly_when_queue_full() {
     // The QueueOverflow seam forces try_push to report a full queue for
     // exactly SHED pushes — each must surface as a typed Busy, and the
     // moment the queue has room again the same request succeeds.
-    let guard = install(&FaultPlan::single(FaultSite::QueueOverflow, SHED as u32));
+    let guard = install_global(&FaultPlan::single(FaultSite::QueueOverflow, SHED as u32));
     let mut busy = 0u64;
     let mut ok = 0u64;
     for _ in 0..SHED + 2 {
@@ -112,7 +113,7 @@ fn retry_rides_through_shed_requests_and_gives_up_typed() {
 
     // Three forced sheds, then room: the retrying client never surfaces
     // a Busy — the fourth attempt lands.
-    let guard = install(&FaultPlan::single(FaultSite::QueueOverflow, 3));
+    let guard = install_global(&FaultPlan::single(FaultSite::QueueOverflow, 3));
     let req = gnnmls_serve::Request::stats(77, spec());
     let policy = RetryPolicy {
         max_attempts: 5,
@@ -127,7 +128,7 @@ fn retry_rides_through_shed_requests_and_gives_up_typed() {
 
     // More sheds than attempts: a typed GaveUp carrying the count, not
     // a hang and not an untyped error.
-    let guard = install(&FaultPlan::single(FaultSite::QueueOverflow, 10));
+    let guard = install_global(&FaultPlan::single(FaultSite::QueueOverflow, 10));
     let err = client
         .request_with_retry(
             &req,

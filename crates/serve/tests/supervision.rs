@@ -8,12 +8,13 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use gnn_mls::session::SessionSpec;
-use gnnmls_faults::{install, FaultPlan, FaultSite};
+use gnnmls_faults::{install_global, FaultPlan, FaultSite};
 use gnnmls_serve::protocol::ResponseKind;
 use gnnmls_serve::{Client, ServeConfig, Server};
 
-/// Fault shots are process-global; serialize the file's tests so one
-/// test's armed seam can never leak into another's traffic.
+/// The seams fire on daemon threads, so these tests arm global fault
+/// plans, which reach every thread of the process; serialize the file's
+/// tests so one test's armed seam can never leak into another's traffic.
 fn serialize_tests() -> MutexGuard<'static, ()> {
     static SER: Mutex<()> = Mutex::new(());
     SER.lock().unwrap_or_else(PoisonError::into_inner)
@@ -38,7 +39,7 @@ fn quarantine_prevents_rebuilding_a_poisoned_spec_until_cooldown() {
     let mut client = Client::connect(server.local_addr()).unwrap();
 
     // Two injected build failures strike the spec out.
-    let guard = install(&FaultPlan::single(FaultSite::SessionBuildFail, 2));
+    let guard = install_global(&FaultPlan::single(FaultSite::SessionBuildFail, 2));
     for attempt in 0..2 {
         let r = client.what_if(&spec(), 0, true, None).unwrap();
         assert_eq!(r.kind, ResponseKind::Error, "attempt {attempt}: {r:?}");
@@ -105,7 +106,7 @@ fn watchdog_respawns_a_dead_worker_without_losing_the_job() {
     // One armed panic kills the only worker the moment it picks up the
     // next job. The watchdog must requeue that job and respawn — the
     // same connection still gets its typed answer.
-    let guard = install(&FaultPlan::single(FaultSite::WorkerPanic, 1));
+    let guard = install_global(&FaultPlan::single(FaultSite::WorkerPanic, 1));
     let r = client.what_if(&spec(), 1, true, None).unwrap();
     drop(guard);
     assert_eq!(r.kind, ResponseKind::Ok, "job survived the dead worker");
@@ -137,7 +138,7 @@ fn shutdown_during_quarantine_cooldown_drains_promptly() {
     .unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
-    let guard = install(&FaultPlan::single(FaultSite::SessionBuildFail, 1));
+    let guard = install_global(&FaultPlan::single(FaultSite::SessionBuildFail, 1));
     let r = client.what_if(&spec(), 0, true, None).unwrap();
     assert_eq!(r.kind, ResponseKind::Error);
     drop(guard);

@@ -8,14 +8,15 @@ use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use gnn_mls::session::SessionSpec;
-use gnnmls_faults::{install, FaultPlan, FaultSite};
+use gnnmls_faults::{install_global, FaultPlan, FaultSite};
 use gnnmls_serve::protocol::{
     read_frame, write_frame, Request, Response, ResponseKind, MAX_FRAME, PROTOCOL_VERSION,
 };
 use gnnmls_serve::{Client, ServeConfig, Server};
 
-/// Fault shots are process-global, so a concurrent test's connection
-/// could consume a seam armed for another. Serialize the whole file.
+/// The seams fire on daemon threads, so these tests arm global fault
+/// plans, and a concurrent test's connection could consume a seam armed
+/// for another. Serialize the whole file.
 fn serialize_tests() -> MutexGuard<'static, ()> {
     static SER: Mutex<()> = Mutex::new(());
     SER.lock().unwrap_or_else(PoisonError::into_inner)
@@ -155,7 +156,7 @@ fn frame_corrupt_fault_is_survived() {
     // plan installs is ours.
     assert_eq!(client.stats(&spec()).unwrap().kind, ResponseKind::Ok);
 
-    let guard = install(&FaultPlan::single(FaultSite::FrameCorrupt, 1));
+    let guard = install_global(&FaultPlan::single(FaultSite::FrameCorrupt, 1));
     // Our outgoing request gets one byte flipped; the server must answer
     // with a typed malformed-frame error, not die.
     let resp = client.stats(&spec()).unwrap();
@@ -174,7 +175,7 @@ fn frame_corrupt_fault_is_survived() {
 fn slow_client_fault_closes_with_typed_stall() {
     let _serial = serialize_tests();
     let server = test_server();
-    let guard = install(&FaultPlan::single(FaultSite::SlowClientStall, 1));
+    let guard = install_global(&FaultPlan::single(FaultSite::SlowClientStall, 1));
     // The next accepted connection is treated as stalled mid-frame.
     let mut raw = TcpStream::connect(server.local_addr()).unwrap();
     let resp: Response = read_frame(&mut raw).unwrap();
