@@ -12,12 +12,12 @@
 //! `threads == 1` bypasses thread spawning entirely and runs the plain
 //! serial loop, making the serial path exactly today's code.
 //!
-//! Resilience: every map has a [`try_par_map_with`]-style variant that
-//! catches a panicking item and returns a typed [`ParError`] carrying
-//! the failing index, and a [`recovering_par_map_with`] variant the
-//! flow's hot paths use — it retries the whole map serially once after
-//! a worker panic (deterministic, since results are ordered) and
-//! counts the recovery in a tally the flow report reads.
+//! Resilience: [`par_map`] re-raises a panicking item with its index;
+//! the [`recovering_par_map_with`] and [`recovering_par_map`] maps the
+//! flow's hot paths use catch it as a typed [`ParError`] carrying the
+//! failing index, retry the whole map serially once (deterministic,
+//! since results are ordered) and count the recovery in a tally the
+//! flow report reads.
 //!
 //! Every worker runs in its caller's `gnnmls-faults` scope and
 //! `gnnmls-obs` trace scope, so a fault plan or trace sink installed on
@@ -157,80 +157,37 @@ pub fn recovered_panics() -> u32 {
     gnnmls_faults::recoveries()
 }
 
-/// Ordered parallel map over `0..n`: returns `vec![f(0), f(1), ..]`.
+/// Ordered parallel map over a slice: returns `vec![f(&items[0]), ..]`.
 ///
 /// Results are identical to the serial loop for any thread count; only
-/// the evaluation schedule differs. Worker panics propagate, with the
-/// failing item index in the panic message.
-pub fn par_map_n<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_map_with(threads, n, || (), |(), i| f(i))
-}
-
-/// Ordered parallel map over a slice.
+/// the evaluation schedule differs.
+///
+/// # Panics
+///
+/// Re-raises a worker panic with the failing item index in the message
+/// (`worker panicked at item <i>: <payload>`).
 pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_n(threads, items.len(), |i| f(&items[i]))
-}
-
-/// Ordered parallel map with per-worker scratch state.
-///
-/// `make_scratch` runs once per worker thread (once total when serial);
-/// `f` may freely mutate the scratch between items. This is how the
-/// router shares one A* scratch buffer per thread instead of
-/// reallocating per net.
-///
-/// # Panics
-///
-/// Re-raises a worker panic with the failing item index in the message
-/// (`worker panicked at item <i>: <payload>`).
-pub fn par_map_with<S, R, FS, F>(threads: usize, n: usize, make_scratch: FS, f: F) -> Vec<R>
-where
-    S: Send,
-    R: Send,
-    FS: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    match try_par_map_with(threads, n, make_scratch, f) {
+    match try_par_map_with(threads, items.len(), || (), |(), i| f(&items[i])) {
         Ok(v) => v,
         Err(e) => panic!("gnnmls-par: {e}"),
     }
 }
 
-/// [`par_map_n`] returning a typed error instead of panicking.
-pub fn try_par_map_n<R, F>(threads: usize, n: usize, f: F) -> Result<Vec<R>, ParError>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    try_par_map_with(threads, n, || (), |(), i| f(i))
-}
-
-/// [`par_map`] returning a typed error instead of panicking.
-pub fn try_par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Result<Vec<R>, ParError>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    try_par_map_n(threads, items.len(), |i| f(&items[i]))
-}
-
-/// [`par_map_with`] returning a typed error instead of panicking.
+/// Ordered parallel map over `0..n` with per-worker scratch state (see
+/// [`recovering_par_map_with`]), returning a typed error instead of
+/// panicking.
 ///
 /// A panicking item aborts the map: in-flight items on other workers
 /// finish, queued items are skipped, and the error reports the lowest
 /// failing index. The `gnnmls-faults` `WorkerPanic` seam fires here
 /// (serial and parallel paths alike), so the injected fault class is
 /// exercised in both CI matrix legs.
-pub fn try_par_map_with<S, R, FS, F>(
+fn try_par_map_with<S, R, FS, F>(
     threads: usize,
     n: usize,
     make_scratch: FS,
@@ -331,10 +288,18 @@ where
         .collect()
 }
 
-/// [`par_map_with`] that survives a worker panic: the map is retried
-/// once on the serial path (bit-identical results, since maps are
-/// ordered), the recovery is counted in [`recovered_panics`], and only
-/// a panic that also reproduces serially propagates as an error.
+/// Ordered parallel map over `0..n` with per-worker scratch state that
+/// survives a worker panic.
+///
+/// `make_scratch` runs once per worker thread (once total when serial);
+/// `f` may freely mutate the scratch between items. This is how the
+/// router shares one A* scratch buffer per thread instead of
+/// reallocating per net.
+///
+/// After a worker panic the map is retried once on the serial path
+/// (bit-identical results, since maps are ordered), the recovery is
+/// counted in [`recovered_panics`], and only a panic that also
+/// reproduces serially propagates as an error.
 pub fn recovering_par_map_with<S, R, FS, F>(
     threads: usize,
     n: usize,
@@ -595,8 +560,9 @@ mod tests {
     #[test]
     fn matches_serial_for_any_thread_count() {
         let expect: Vec<usize> = (0..257).map(|i| i * 3 + 1).collect();
+        let items: Vec<usize> = (0..257).collect();
         for threads in [1, 2, 4, 8] {
-            let got = par_map_n(threads, 257, |i| i * 3 + 1);
+            let got = par_map(threads, &items, |&i| i * 3 + 1);
             assert_eq!(got, expect, "threads={threads}");
         }
     }
@@ -614,7 +580,7 @@ mod tests {
         let n = 100;
         // Parallel: per-worker counters each start at zero and never
         // exceed the number of items.
-        let parallel = par_map_with(
+        let parallel = try_par_map_with(
             4,
             n,
             || 0usize,
@@ -622,10 +588,11 @@ mod tests {
                 *count += 1;
                 *count
             },
-        );
+        )
+        .unwrap();
         assert!(parallel.iter().all(|&c| c >= 1 && c <= n));
         // Serial path: one scratch sees every item in order.
-        let serial = par_map_with(
+        let serial = recovering_par_map_with(
             1,
             n,
             || 0usize,
@@ -633,28 +600,35 @@ mod tests {
                 *count += 1;
                 *count
             },
-        );
+        )
+        .unwrap();
         assert_eq!(serial, (1..=n).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_single_inputs() {
-        assert_eq!(par_map_n(4, 0, |i| i), Vec::<usize>::new());
-        assert_eq!(par_map_n(4, 1, |i| i + 10), vec![10]);
+        assert_eq!(par_map(4, &[] as &[usize], |&i| i), Vec::<usize>::new());
+        assert_eq!(par_map(4, &[0usize], |&i| i + 10), vec![10]);
+        let none = recovering_par_map_with(4, 0, || (), |(), i| i).unwrap();
+        assert_eq!(none, Vec::<usize>::new());
+        let one = recovering_par_map(4, &[5usize], |&i| i + 10).unwrap();
+        assert_eq!(one, vec![15]);
     }
 
     #[test]
     fn zero_means_all_cores() {
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(3), 3);
-        let got = par_map_n(0, 50, |i| i);
-        assert_eq!(got, (0..50).collect::<Vec<_>>());
+        let items: Vec<usize> = (0..50).collect();
+        assert_eq!(par_map(0, &items, |&i| i), items);
+        assert_eq!(recovering_par_map(0, &items, |&i| i).unwrap(), items);
     }
 
     #[test]
     #[should_panic(expected = "worker panicked at item 7")]
     fn worker_panics_propagate_with_index() {
-        par_map_n(4, 16, |i| {
+        let items: Vec<usize> = (0..16).collect();
+        par_map(4, &items, |&i| {
             if i == 7 {
                 panic!("boom");
             }
@@ -665,13 +639,19 @@ mod tests {
     #[test]
     fn try_map_reports_failing_index() {
         for threads in [1, 4] {
-            let err = try_par_map_n(threads, 16, |i| {
-                if i == 5 {
-                    panic!("kaput");
-                }
-                i
-            })
+            let err = try_par_map_with(
+                threads,
+                16,
+                || (),
+                |(), i| {
+                    if i == 5 || i == 9 {
+                        panic!("kaput");
+                    }
+                    i
+                },
+            )
             .unwrap_err();
+            // The lowest failing index wins.
             assert_eq!(err.index, 5, "threads={threads}");
             assert_eq!(err.message, "kaput");
         }
@@ -679,7 +659,7 @@ mod tests {
 
     #[test]
     fn try_map_succeeds_without_panics() {
-        let got = try_par_map_n(4, 33, |i| i * 2).unwrap();
+        let got = try_par_map_with(4, 33, || (), |(), i| i * 2).unwrap();
         assert_eq!(got, (0..33).map(|i| i * 2).collect::<Vec<_>>());
     }
 
@@ -698,7 +678,8 @@ mod tests {
     fn workers_emit_into_the_callers_trace_sink() {
         let sink = std::sync::Arc::new(gnnmls_obs::MemorySink::new());
         let guard = gnnmls_obs::install_guarded(sink.clone());
-        par_map_n(4, 8, |i| {
+        let items: Vec<usize> = (0..8).collect();
+        par_map(4, &items, |&i| {
             gnnmls_obs::event("item", &[("i", gnnmls_obs::FieldValue::from(i))]);
         });
         drop(guard);

@@ -19,9 +19,9 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use gnn_mls::session::SessionSpec;
-use gnnmls_par::rng::splitmix64;
 
 use crate::api::{classify, ServeError};
+use crate::breaker::backoff_ms;
 use crate::protocol::{read_frame, write_frame, FrameError, Request, Response};
 
 /// Retry schedule for [`Client::request_with_retry`].
@@ -49,16 +49,16 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The backoff before retry number `attempt` (0-based): capped
-    /// exponential, half fixed and half deterministic jitter.
+    /// The backoff before retry number `attempt` (0-based): the
+    /// breakers' schedule — `base_delay_ms·2^attempt` plus up to a
+    /// quarter of deterministic jitter, never past `max_delay_ms`.
     pub fn delay_ms(&self, attempt: u32) -> u64 {
-        let exp = self
-            .base_delay_ms
-            .max(1)
-            .saturating_mul(1u64 << attempt.min(16))
-            .min(self.max_delay_ms.max(1));
-        let jitter = splitmix64(self.seed ^ u64::from(attempt)) % (exp / 2 + 1);
-        (exp / 2 + jitter).min(self.max_delay_ms.max(1))
+        backoff_ms(
+            self.base_delay_ms,
+            attempt,
+            self.max_delay_ms,
+            self.seed ^ u64::from(attempt),
+        )
     }
 
     /// [`delay_ms`](Self::delay_ms) with a server-imposed floor: a

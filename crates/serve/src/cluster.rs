@@ -30,11 +30,12 @@
 //!   external, is health-probed on an interval via the PR 4 `Health`
 //!   request.
 //! - **Circuit breakers.** Consecutive probe or forward failures open a
-//!   per-shard breaker with a capped exponential + seeded-jitter
-//!   cooldown; an open breaker routes the shard's keys to their
-//!   deterministic secondary. On cooldown expiry the breaker
-//!   half-opens: one request (or probe) goes through, a success closes
-//!   it, a failure re-opens it for longer.
+//!   per-shard breaker — the daemon's quarantine breaker — with a
+//!   capped exponential + seeded-jitter cooldown; an open breaker
+//!   routes the shard's keys to their deterministic secondary. On
+//!   cooldown expiry the breaker half-opens: one request (or probe)
+//!   goes through, a success closes it, a failure re-opens it for
+//!   longer.
 //! - **Failover.** A request whose target is dead, quarantined, or
 //!   over-deadline retries against the ring's secondary shard for that
 //!   key. The secondary cold-builds the session; that is accepted and
@@ -70,17 +71,16 @@ use std::time::{Duration, Instant};
 use gnn_mls::checkpoint::save_stage_logged;
 use gnn_mls::session::ValidationError;
 use gnnmls_faults::{fire, FaultSite};
-use gnnmls_par::rng::splitmix64;
 use gnnmls_reactor::net::{connect_nonblocking, connect_outcome};
 use gnnmls_reactor::{Event, FrameDecoder, Interest, WriteQueue};
 use serde::{Deserialize, Serialize};
 
+use crate::breaker::Breaker;
 use crate::client::RetryPolicy;
-use crate::plane::{lock, Completions, Plane, PlaneConfig, Tier, TAG_MASK};
+use crate::plane::{lock, Completions, Plane, PlaneConfig, Tier, READ_BUDGET, TAG_MASK};
 use crate::protocol::{
-    decode_payload, encode_msg, read_frame_idle, write_frame, FrameError, HealthStatus,
-    QuarantineInfo, Request, RequestKind, Response, ResponseKind, ServerStats, MAX_FRAME,
-    PROTOCOL_VERSION,
+    decode_payload, encode_msg, read_frame_idle, write_frame, FrameError, HealthStatus, Request,
+    RequestKind, Response, ResponseKind, ServerStats, MAX_FRAME, PROTOCOL_VERSION,
 };
 use crate::ring::HashRing;
 use crate::server::builder_setters;
@@ -90,6 +90,15 @@ pub const CLUSTER_STATS_STAGE: &str = "cluster-stats";
 
 /// Schema version of [`ClusterStats`].
 pub const CLUSTER_STATS_SCHEMA: u32 = 1;
+
+/// Connect and write timeout of every blocking exchange with a shard,
+/// and how long a health probe or a drain request waits for its answer.
+const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long a spawned shard may take to become healthy.
+const SPAWN_READY_TIMEOUT: Duration = Duration::from_secs(60);
+/// How long the drain waits for a shard process to exit before
+/// killing it.
+const SHARD_EXIT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Front-tier configuration. Defaults are production-ish; tests tighten
 /// the timing knobs. Construct directly or go through
@@ -103,11 +112,10 @@ pub struct ClusterConfig {
     pub read_timeout_ms: u64,
     /// Health-probe interval per shard, ms.
     pub probe_interval_ms: u64,
-    /// Connect/read timeout for one health probe, ms.
-    pub probe_timeout_ms: u64,
     /// Consecutive failures that open a shard's breaker.
     pub breaker_threshold: u32,
-    /// Base breaker cooldown, ms (doubles per re-open, capped).
+    /// Base breaker cooldown, ms; doubles per re-open up to 16x, plus
+    /// up to a quarter of seeded jitter inside that cap.
     pub breaker_cooldown_ms: u64,
     /// Per-attempt deadline for a forwarded request, ms. Generous by
     /// default: a cold paper-scale session build is slow and must not
@@ -121,18 +129,6 @@ pub struct ClusterConfig {
     pub retry_max_ms: u64,
     /// Seed for breaker-cooldown and retry jitter.
     pub seed: u64,
-    /// How long to wait for a spawned shard to become healthy, ms.
-    pub spawn_ready_timeout_ms: u64,
-    /// How long the drain waits for a shard process to exit before
-    /// killing it, ms.
-    pub shard_exit_timeout_ms: u64,
-    /// Client connections the reactor keeps open at once; one beyond
-    /// the cap is answered with a typed `Busy` and closed.
-    pub max_connections: usize,
-    /// Bytes read from one connection per readiness event — the
-    /// fairness cap that stops a firehose client from starving the
-    /// loop.
-    pub read_budget: usize,
     /// Where the final [`ClusterStats`] envelope is written.
     pub checkpoint_dir: Option<PathBuf>,
 }
@@ -143,7 +139,6 @@ impl Default for ClusterConfig {
             addr: "127.0.0.1:0".into(),
             read_timeout_ms: 250,
             probe_interval_ms: 200,
-            probe_timeout_ms: 2_000,
             breaker_threshold: 3,
             breaker_cooldown_ms: 500,
             forward_timeout_ms: 120_000,
@@ -151,10 +146,6 @@ impl Default for ClusterConfig {
             retry_base_ms: 10,
             retry_max_ms: 500,
             seed: 0x0C10_57E4,
-            spawn_ready_timeout_ms: 60_000,
-            shard_exit_timeout_ms: 10_000,
-            max_connections: 16_384,
-            read_budget: 64 * 1024,
             checkpoint_dir: None,
         }
     }
@@ -167,11 +158,6 @@ impl ClusterConfig {
         ClusterConfigBuilder {
             cfg: Self::default(),
         }
-    }
-
-    /// Re-opens this config as a builder to derive a validated copy.
-    pub fn to_builder(&self) -> ClusterConfigBuilder {
-        ClusterConfigBuilder { cfg: self.clone() }
     }
 }
 
@@ -189,8 +175,6 @@ impl ClusterConfigBuilder {
         read_timeout_ms: u64,
         /// Health-probe interval per shard, ms.
         probe_interval_ms: u64,
-        /// Connect/read timeout for one health probe, ms.
-        probe_timeout_ms: u64,
         /// Consecutive failures that open a shard's breaker.
         breaker_threshold: u32,
         /// Base breaker cooldown, ms.
@@ -205,14 +189,6 @@ impl ClusterConfigBuilder {
         retry_max_ms: u64,
         /// Seed for breaker-cooldown and retry jitter.
         seed: u64,
-        /// Spawned-shard readiness timeout, ms.
-        spawn_ready_timeout_ms: u64,
-        /// Drain wait for shard process exit, ms.
-        shard_exit_timeout_ms: u64,
-        /// Concurrent client-connection cap.
-        max_connections: usize,
-        /// Bytes read per connection per readiness event.
-        read_budget: usize,
         /// Where the final stats envelope is written on drain.
         checkpoint_dir: Option<PathBuf>,
     }
@@ -237,9 +213,6 @@ impl ClusterConfigBuilder {
         if c.probe_interval_ms == 0 {
             return bad("probe_interval_ms", "0".to_string(), ">= 1");
         }
-        if c.probe_timeout_ms == 0 {
-            return bad("probe_timeout_ms", "0".to_string(), ">= 1");
-        }
         if c.breaker_threshold == 0 {
             return bad("breaker_threshold", "0".to_string(), ">= 1");
         }
@@ -251,18 +224,6 @@ impl ClusterConfigBuilder {
         }
         if c.retries == 0 {
             return bad("retries", "0".to_string(), ">= 1");
-        }
-        if c.spawn_ready_timeout_ms == 0 {
-            return bad("spawn_ready_timeout_ms", "0".to_string(), ">= 1");
-        }
-        if c.shard_exit_timeout_ms == 0 {
-            return bad("shard_exit_timeout_ms", "0".to_string(), ">= 1");
-        }
-        if c.max_connections == 0 {
-            return bad("max_connections", "0".to_string(), ">= 1");
-        }
-        if c.read_budget == 0 {
-            return bad("read_budget", "0".to_string(), ">= 1");
         }
         Ok(c)
     }
@@ -287,18 +248,6 @@ pub enum ShardBackendSpec {
     /// A daemon the front spawns on a free port, supervises, and
     /// respawns on death.
     Spawn(ShardSpawnSpec),
-}
-
-/// Per-shard circuit breaker. Counts consecutive failures (probes and
-/// forwards both); at the threshold the circuit opens for a capped
-/// exponential cooldown with deterministic seeded jitter. Expiry
-/// half-opens it: the next attempt goes through, and its outcome
-/// closes or re-opens the circuit.
-#[derive(Debug, Default)]
-struct Breaker {
-    consecutive: u32,
-    open_until: Option<Instant>,
-    opens: u32,
 }
 
 struct ShardState {
@@ -411,102 +360,73 @@ impl ClusterShared {
         &self.shards[usize::from(id)]
     }
 
-    /// Whether the shard's breaker currently refuses traffic. An
-    /// expired cooldown half-opens the breaker (clears `open_until`)
-    /// and lets the caller through as the probe.
+    /// Whether the shard's breaker currently refuses traffic. Past its
+    /// cooldown the breaker is half-open and lets the caller through as
+    /// the probe.
     fn breaker_open(&self, id: u16) -> bool {
-        let mut b = lock(&self.shard(id).breaker);
-        match b.open_until {
-            Some(until) if Instant::now() < until => true,
-            Some(_) => {
-                b.open_until = None;
-                false
-            }
-            None => false,
-        }
+        self.breaker_remaining_ms(id) > 0
     }
 
     /// Remaining cooldown for an open breaker, ms (0 when closed).
     fn breaker_remaining_ms(&self, id: u16) -> u64 {
-        let b = lock(&self.shard(id).breaker);
-        match b.open_until {
-            Some(until) => until.saturating_duration_since(Instant::now()).as_millis() as u64,
-            None => 0,
-        }
+        lock(&self.shard(id).breaker).remaining_ms().unwrap_or(0)
     }
 
-    fn record_shard_failure(&self, id: u16) {
+    /// Strikes the shard's breaker with `strike` —
+    /// [`Breaker::record_failure`], or [`Breaker::trip`] for a shard
+    /// known to be dead — and counts and reports an opening.
+    fn strike_breaker(&self, id: u16, strike: fn(&mut Breaker, u32, u64, u64) -> Option<u64>) {
         let shard = self.shard(id);
-        let mut b = lock(&shard.breaker);
-        b.consecutive = b.consecutive.saturating_add(1);
-        if b.consecutive >= self.cfg.breaker_threshold && b.open_until.is_none() {
-            let base = self
-                .cfg
-                .breaker_cooldown_ms
-                .max(1)
-                .saturating_mul(1u64 << b.opens.min(6))
-                .min(30_000);
-            let jitter =
-                splitmix64(self.cfg.seed ^ u64::from(id) ^ u64::from(b.opens)) % (base / 4 + 1);
-            b.open_until = Some(Instant::now() + Duration::from_millis(base + jitter));
-            b.opens = b.opens.saturating_add(1);
+        let opened = strike(
+            &mut lock(&shard.breaker),
+            self.cfg.breaker_threshold,
+            self.cfg.breaker_cooldown_ms,
+            self.cfg.seed ^ u64::from(id),
+        );
+        if let Some(cooldown_ms) = opened {
             shard.breaker_opens.fetch_add(1, Ordering::SeqCst);
             gnnmls_obs::event(
                 "cluster_breaker_open",
                 &[
                     ("shard", gnnmls_obs::FieldValue::U64(u64::from(id))),
-                    ("cooldown_ms", gnnmls_obs::FieldValue::U64(base + jitter)),
+                    ("cooldown_ms", gnnmls_obs::FieldValue::U64(cooldown_ms)),
                 ],
             );
         }
     }
 
+    fn record_shard_failure(&self, id: u16) {
+        self.strike_breaker(id, Breaker::record_failure);
+    }
+
     fn record_shard_success(&self, id: u16) {
-        let mut b = lock(&self.shard(id).breaker);
-        b.consecutive = 0;
-        b.open_until = None;
-        b.opens = 0;
+        lock(&self.shard(id).breaker).record_success();
     }
 
     /// The `shard-crash` seam and the supervisor's reaction to a real
     /// child death: kill a managed child (external shards are only
-    /// marked), force the breaker open so routing fails over at once,
-    /// and count the crash.
+    /// marked), trip the breaker so routing fails over at once, and
+    /// count the crash.
     fn crash_shard(&self, id: u16) {
         let shard = self.shard(id);
         if let Some(child) = lock(&shard.child).as_mut() {
             let _ = child.kill();
         }
-        {
-            let mut b = lock(&shard.breaker);
-            b.consecutive = b.consecutive.max(self.cfg.breaker_threshold);
-            if b.open_until.is_none() {
-                b.open_until =
-                    Some(Instant::now() + Duration::from_millis(self.cfg.breaker_cooldown_ms));
-                b.opens = b.opens.saturating_add(1);
-                shard.breaker_opens.fetch_add(1, Ordering::SeqCst);
-            }
-        }
+        self.strike_breaker(id, Breaker::trip);
         shard.crashes.fetch_add(1, Ordering::SeqCst);
         self.counters.shard_crashes.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Front-level health: shard breakers mapped into the same
-    /// `QuarantineInfo` shape the single daemon reports, so existing
+    /// Front-level health: open shard breakers as the same
+    /// `QuarantineInfo` entries the single daemon reports, so existing
     /// tooling reads cluster health unchanged.
     fn health(&self) -> HealthStatus {
         let mut quarantine = Vec::new();
         let mut healthy = 0u64;
         for shard in &self.shards {
-            let remaining = self.breaker_remaining_ms(shard.id);
-            let strikes = lock(&shard.breaker).consecutive;
-            if remaining > 0 {
-                quarantine.push(QuarantineInfo {
-                    key: u64::from(shard.id),
-                    strikes,
-                    open: true,
-                    remaining_ms: remaining,
-                });
+            let info = lock(&shard.breaker).info(u64::from(shard.id));
+            if info.open {
+                quarantine.push(info);
             } else {
                 healthy += 1;
             }
@@ -545,21 +465,20 @@ impl ClusterShared {
 }
 
 /// One blocking request/response exchange with a shard on a fresh
-/// connection: connect and write within `timeout`, then wait up to
-/// `answer_within` for the answer. The socket carries a short
+/// connection: connect and write within [`PROBE_TIMEOUT`], then wait up
+/// to `answer_within` for the answer. The socket carries a short
 /// read-timeout slice; "still nothing at the deadline" is a typed stall
 /// instead of a reader blocked forever. Probes, `LoadModel` broadcasts
 /// and the drain use this; the hot forward path lives on the reactor.
 fn exchange(
     addr: SocketAddr,
     req: &Request,
-    timeout: Duration,
     answer_within: Duration,
 ) -> Result<Response, FrameError> {
-    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
+    let mut stream = TcpStream::connect_timeout(&addr, PROBE_TIMEOUT)?;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let _ = stream.set_write_timeout(Some(timeout));
+    let _ = stream.set_write_timeout(Some(PROBE_TIMEOUT));
     write_frame(&mut stream, req)?;
     let deadline = Instant::now() + answer_within;
     match read_frame_idle(&mut stream, || Instant::now() < deadline)? {
@@ -570,8 +489,8 @@ fn exchange(
 
 /// One health probe against a shard. `Ok` only when the daemon answers
 /// a `Health` request with `ready`.
-fn probe_health(addr: SocketAddr, timeout: Duration) -> bool {
-    match exchange(addr, &Request::health(0), timeout, timeout) {
+fn probe_health(addr: SocketAddr) -> bool {
+    match exchange(addr, &Request::health(0), PROBE_TIMEOUT) {
         Ok(resp) => resp.kind == ResponseKind::Ok && resp.health.map(|h| h.ready).unwrap_or(false),
         Err(_) => false,
     }
@@ -632,10 +551,7 @@ fn prober_loop(shared: &Arc<ClusterShared>) {
             }
             // Health probe; outcome feeds the breaker either way.
             let t0 = Instant::now();
-            let ok = probe_health(
-                shard.addr,
-                Duration::from_millis(shared.cfg.probe_timeout_ms.max(1)),
-            );
+            let ok = probe_health(shard.addr);
             let shard_label = shard.id.to_string();
             gnnmls_obs::observe(
                 "gnnmls_cluster_probe_ms",
@@ -717,12 +633,11 @@ fn relay(shared: &ClusterShared, resp: Response, answered_by: u16, primary: u16)
 /// built-in models until the next broadcast, which is exactly what its
 /// empty state serves anyway.
 fn broadcast_load_model(shared: &ClusterShared, req: &Request) -> Response {
-    let timeout = Duration::from_millis(shared.cfg.probe_timeout_ms.max(1));
     let answer_within = Duration::from_millis(shared.cfg.forward_timeout_ms.max(1));
     let mut swapped: Option<Response> = None;
     let mut unreachable = 0u64;
     for shard in &shared.shards {
-        match exchange(shard.addr, req, timeout, answer_within) {
+        match exchange(shard.addr, req, answer_within) {
             Ok(resp) if resp.id == req.id => {
                 shared.record_shard_success(shard.id);
                 if resp.kind == ResponseKind::Ok {
@@ -1362,12 +1277,11 @@ impl FrontTier {
     }
 
     fn backend_readable(&mut self, plane: &mut Plane, btoken: u64) {
-        let budget = self.shared.cfg.read_budget.max(1);
         let filled: Result<bool, String> = {
             let Some(b) = self.backends.get_mut(&btoken) else {
                 return;
             };
-            match b.decoder.fill_from(&mut b.stream, budget) {
+            match b.decoder.fill_from(&mut b.stream, READ_BUDGET) {
                 Ok((_, eof)) => Ok(eof),
                 Err(e) => Err(format!("frame io: {e}")),
             }
@@ -1430,8 +1344,8 @@ impl ClusterFront {
     /// # Errors
     ///
     /// Bind/spawn failures, a spawned shard that never became healthy
-    /// inside `spawn_ready_timeout_ms`, or the reactor's poller/waker
-    /// plumbing failing to come up.
+    /// inside a minute, or the reactor's poller/waker plumbing failing
+    /// to come up.
     pub fn start(cfg: ClusterConfig, backends: Vec<ShardBackendSpec>) -> std::io::Result<Self> {
         if backends.is_empty() {
             return Err(std::io::Error::new(
@@ -1473,15 +1387,11 @@ impl ClusterFront {
                 }
             }
         }
-        let ready_deadline =
-            Instant::now() + Duration::from_millis(cfg.spawn_ready_timeout_ms.max(1));
+        let ready_deadline = Instant::now() + SPAWN_READY_TIMEOUT;
         for &id in &spawned {
             let shard = &shards[usize::from(id)];
             loop {
-                if probe_health(
-                    shard.addr,
-                    Duration::from_millis(cfg.probe_timeout_ms.max(1)),
-                ) {
+                if probe_health(shard.addr) {
                     break;
                 }
                 if Instant::now() >= ready_deadline {
@@ -1503,8 +1413,6 @@ impl ClusterFront {
         let plane = Plane::bind(
             &cfg.addr,
             PlaneConfig {
-                max_connections: cfg.max_connections,
-                read_budget: cfg.read_budget,
                 read_timeout_ms: cfg.read_timeout_ms,
                 conn_limited_metric: "gnnmls_cluster_conn_limited_total",
                 drain_refused_metric: "gnnmls_cluster_drain_refused_total",
@@ -1644,12 +1552,11 @@ impl ClusterFront {
         }
         // Collect every shard's final stats, then drain the shards
         // themselves.
-        let probe_timeout = Duration::from_millis(self.shared.cfg.probe_timeout_ms.max(1));
         let mut per_shard = Vec::with_capacity(self.shared.shards.len());
         for shard in &self.shared.shards {
             // Any valid spec works; the per-session payload is ignored.
             let stats_req = Request::stats(1, gnn_mls::session::SessionSpec::fast("maeri16"));
-            let stats = exchange(shard.addr, &stats_req, probe_timeout, probe_timeout)
+            let stats = exchange(shard.addr, &stats_req, PROBE_TIMEOUT)
                 .ok()
                 .and_then(|resp| resp.stats);
             per_shard.push(ShardStats {
@@ -1662,16 +1569,10 @@ impl ClusterFront {
             });
         }
         for shard in &self.shared.shards {
-            let _ = exchange(
-                shard.addr,
-                &Request::shutdown(1),
-                probe_timeout,
-                probe_timeout,
-            );
+            let _ = exchange(shard.addr, &Request::shutdown(1), PROBE_TIMEOUT);
             // Wait for a managed child to exit; kill it if it will not.
             if let Some(mut child) = lock(&shard.child).take() {
-                let deadline = Instant::now()
-                    + Duration::from_millis(self.shared.cfg.shard_exit_timeout_ms.max(1));
+                let deadline = Instant::now() + SHARD_EXIT_TIMEOUT;
                 loop {
                     match child.try_wait() {
                         Ok(Some(_)) => break,
@@ -1809,12 +1710,12 @@ mod tests {
         let cfg = ClusterConfig::builder()
             .read_timeout_ms(50)
             .retries(2)
-            .max_connections(128)
+            .probe_interval_ms(128)
             .build()
             .expect("valid config");
         assert_eq!(cfg.read_timeout_ms, 50);
         assert_eq!(cfg.retries, 2);
-        assert_eq!(cfg.max_connections, 128);
+        assert_eq!(cfg.probe_interval_ms, 128);
         let err = ClusterConfig::builder().retries(0).build().unwrap_err();
         assert!(matches!(
             err,
@@ -1823,11 +1724,14 @@ mod tests {
                 ..
             }
         ));
-        let err = ClusterConfig::builder().read_budget(0).build().unwrap_err();
+        let err = ClusterConfig::builder()
+            .probe_interval_ms(0)
+            .build()
+            .unwrap_err();
         assert!(matches!(
             err,
             ValidationError::BadConfig {
-                field: "read_budget",
+                field: "probe_interval_ms",
                 ..
             }
         ));

@@ -16,6 +16,10 @@
 //!   cap, budgeted frame reads with typed decode errors, inline
 //!   `Shutdown`/`Health`/`Metrics`, queued writes, stall and
 //!   drain-refusal timers, and the bounded final flush;
+//! - `breaker` (private) — the one consecutive-failure circuit breaker
+//!   (the daemon's per-spec quarantine, the front's per-shard breakers)
+//!   and the one capped-exponential, seeded-jitter backoff schedule the
+//!   breakers and the client's retries share;
 //! - [`server`] — the daemon's side of the plane (connection-level
 //!   admission) + bounded job queue (explicit `Busy` backpressure,
 //!   never unbounded growth) + worker pool with inference
@@ -59,6 +63,7 @@
 
 pub mod admission;
 pub mod api;
+mod breaker;
 pub mod client;
 pub mod cluster;
 mod plane;

@@ -54,6 +54,16 @@ const WRITE_HIGH_WATER: usize = 1 << 20;
 /// typed refusal goes out even without a request frame.
 const DRAIN_REFUSE_MS: u64 = 500;
 
+/// Client connections kept open at once; one beyond the cap is
+/// answered with a typed `Busy` and closed.
+const MAX_CONNECTIONS: usize = 16_384;
+
+/// Bytes read from one connection per readiness event — the fairness
+/// cap that stops a firehose client from starving the loop (leftovers
+/// are re-reported by level-triggered polling). The front's backend
+/// connections read under the same cap.
+pub(crate) const READ_BUDGET: usize = 64 * 1024;
+
 /// The loop's longest sleep, so a lost wakeup can only ever delay — not
 /// deadlock — a drain.
 const MAX_WAIT: Duration = Duration::from_millis(500);
@@ -77,10 +87,6 @@ pub(crate) struct LoopMetrics {
 
 /// How one tier's plane is set up.
 pub(crate) struct PlaneConfig {
-    /// Client connections kept open at once.
-    pub(crate) max_connections: usize,
-    /// Bytes read from one connection per readiness event.
-    pub(crate) read_budget: usize,
     /// Mid-frame stall deadline, ms.
     pub(crate) read_timeout_ms: u64,
     /// Counter bumped when the connection cap refuses a socket.
@@ -313,7 +319,7 @@ impl Plane {
             if let Some(m) = self.cfg.loop_metrics {
                 m.connections.add(1);
             }
-            let over_cap = self.conns.len() >= self.cfg.max_connections.max(1);
+            let over_cap = self.conns.len() >= MAX_CONNECTIONS;
             let refusing = !tier.running();
             self.conns.insert(
                 token,
@@ -419,7 +425,6 @@ impl Plane {
     }
 
     fn on_readable<T: Tier>(&mut self, tier: &mut T, token: u64) {
-        let budget = self.cfg.read_budget.max(1);
         let eof = {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
@@ -427,7 +432,7 @@ impl Plane {
             if conn.closing || conn.writes.buffered() >= WRITE_HIGH_WATER {
                 return;
             }
-            match conn.decoder.fill_from(&mut conn.stream, budget) {
+            match conn.decoder.fill_from(&mut conn.stream, READ_BUDGET) {
                 Ok((_, eof)) => eof,
                 Err(_) => {
                     self.close_conn(token);

@@ -71,6 +71,7 @@ use gnnmls_obs::FieldValue;
 use gnnmls_par::queue::{BoundedQueue, PushError};
 
 use crate::admission::{self, AdmissionMeter};
+use crate::breaker::Breaker;
 use crate::plane::{lock, Completions, LoopMetrics, Plane, PlaneConfig, Tier};
 use crate::protocol::{
     HealthStatus, ModelSwapResult, QuarantineInfo, Request, RequestKind, Response, ResponseKind,
@@ -144,18 +145,9 @@ pub struct ServeConfig {
     /// Consecutive session-build failures before a spec's circuit
     /// opens.
     pub quarantine_threshold: u32,
-    /// Base quarantine cooldown; doubles per extra strike (capped at
-    /// 16x) plus deterministic seeded jitter.
+    /// Base quarantine cooldown; doubles per re-open up to 16x, plus
+    /// up to a quarter of deterministic seeded jitter inside that cap.
     pub quarantine_cooldown_ms: u64,
-    /// Seed for the quarantine jitter (deterministic across runs).
-    pub quarantine_seed: u64,
-    /// Connections the reactor keeps open at once; a connection beyond
-    /// the cap is answered with a typed `Busy` and closed.
-    pub max_connections: usize,
-    /// Bytes read from one connection per readiness event — the
-    /// fairness cap that stops a firehose client from starving the
-    /// loop (leftovers are re-reported by level-triggered polling).
-    pub read_budget: usize,
 }
 
 impl Default for ServeConfig {
@@ -170,9 +162,6 @@ impl Default for ServeConfig {
             admission_budget: 4096,
             quarantine_threshold: 3,
             quarantine_cooldown_ms: 5_000,
-            quarantine_seed: 0x6d6c_735f_7365_7276,
-            max_connections: 16_384,
-            read_budget: 64 * 1024,
         }
     }
 }
@@ -184,12 +173,6 @@ impl ServeConfig {
         ServeConfigBuilder {
             cfg: Self::default(),
         }
-    }
-
-    /// Re-opens this config as a builder — the supported way to derive
-    /// a modified copy now that the struct is `#[non_exhaustive]`.
-    pub fn to_builder(&self) -> ServeConfigBuilder {
-        ServeConfigBuilder { cfg: self.clone() }
     }
 }
 
@@ -235,12 +218,6 @@ impl ServeConfigBuilder {
         quarantine_threshold: u32,
         /// Base quarantine cooldown, ms.
         quarantine_cooldown_ms: u64,
-        /// Seed for the quarantine jitter.
-        quarantine_seed: u64,
-        /// Concurrent-connection cap.
-        max_connections: usize,
-        /// Bytes read per connection per readiness event.
-        read_budget: usize,
     }
 
     /// Validates every knob and returns the config.
@@ -275,19 +252,15 @@ impl ServeConfigBuilder {
         if c.quarantine_cooldown_ms == 0 {
             return bad("quarantine_cooldown_ms", "0".to_string(), ">= 1");
         }
-        if c.max_connections == 0 {
-            return bad("max_connections", "0".to_string(), ">= 1");
-        }
-        if c.read_budget == 0 {
-            return bad("read_budget", "0".to_string(), ">= 1");
-        }
         Ok(c)
     }
 }
 
-// `splitmix64` — the same deterministic mixer the fault planner uses,
-// here for quarantine-cooldown jitter. One shared copy lives in
-// `gnnmls_par::rng`.
+/// Seed for the quarantine jitter, mixed with the spec key.
+const QUARANTINE_SEED: u64 = 0x6d6c_735f_7365_7276;
+
+// The unit tests pin the jitter mixer the breaker draws from.
+#[cfg(test)]
 use gnnmls_par::rng::splitmix64;
 
 /// Stable label for a request kind in metrics and trace events.
@@ -432,12 +405,6 @@ struct Job {
     enqueued_at: Instant,
 }
 
-/// Circuit-breaker state for one spec key.
-struct QuarantineEntry {
-    strikes: u32,
-    open_until: Option<Instant>,
-}
-
 /// A hot-swapped zoo model serving one design family. Swaps replace
 /// the `Arc` in [`Shared::models`] atomically; requests that already
 /// cloned the old `Arc` finish on the weights they started with.
@@ -470,7 +437,7 @@ struct Shared {
     /// instead of letting them hang until the stall timeout.
     accept_stop: AtomicBool,
     meter: AdmissionMeter,
-    quarantine: Mutex<HashMap<u64, QuarantineEntry>>,
+    quarantine: Mutex<HashMap<u64, Breaker>>,
     /// Hot-swapped zoo models, one slot per design family. Empty slots
     /// fall back to each session's built-in trained model.
     models: Mutex<HashMap<&'static str, Arc<ZooModel>>>,
@@ -483,42 +450,26 @@ impl Shared {
     }
 
     /// If `key`'s circuit is open, returns its strikes and the
-    /// remaining cooldown. When the cooldown has expired the circuit
-    /// half-opens: the call clears `open_until` and lets one probe
-    /// build through (a failure re-opens it for longer).
+    /// remaining cooldown. Once the cooldown has expired the circuit is
+    /// half-open: a probe build goes through, and a failure re-opens it
+    /// for longer.
     fn quarantine_remaining(&self, key: u64) -> Option<(u32, u64)> {
-        let mut q = lock(&self.quarantine);
-        let e = q.get_mut(&key)?;
-        let until = e.open_until?;
-        let now = Instant::now();
-        if now >= until {
-            e.open_until = None;
-            return None;
-        }
-        let ms = until.saturating_duration_since(now).as_millis() as u64;
-        Some((e.strikes, ms.max(1)))
+        let q = lock(&self.quarantine);
+        let b = q.get(&key)?;
+        Some((b.failures, b.remaining_ms()?))
     }
 
-    /// Records a failed build; at the threshold the circuit opens with
-    /// a capped exponential cooldown plus deterministic seeded jitter.
+    /// Records a failed build; at the threshold the spec's circuit
+    /// opens (see [`Breaker::record_failure`]).
     fn record_build_failure(&self, key: u64) {
-        let mut q = lock(&self.quarantine);
-        let e = q.entry(key).or_insert(QuarantineEntry {
-            strikes: 0,
-            open_until: None,
-        });
-        e.strikes = e.strikes.saturating_add(1);
-        if e.strikes >= self.cfg.quarantine_threshold.max(1) {
-            let base = self.cfg.quarantine_cooldown_ms.max(1);
-            let exp = e
-                .strikes
-                .saturating_sub(self.cfg.quarantine_threshold.max(1))
-                .min(4);
-            let backoff = base.saturating_mul(1u64 << exp);
-            let jitter =
-                splitmix64(self.cfg.quarantine_seed ^ key ^ u64::from(e.strikes)) % (base / 4 + 1);
-            e.open_until = Some(Instant::now() + Duration::from_millis(backoff + jitter));
-        }
+        lock(&self.quarantine)
+            .entry(key)
+            .or_default()
+            .record_failure(
+                self.cfg.quarantine_threshold,
+                self.cfg.quarantine_cooldown_ms,
+                QUARANTINE_SEED ^ key,
+            );
     }
 
     /// A successful build closes the circuit and forgets the strikes.
@@ -677,20 +628,9 @@ impl Shared {
     }
 
     fn health(&self) -> HealthStatus {
-        let now = Instant::now();
         let mut quarantine: Vec<QuarantineInfo> = lock(&self.quarantine)
             .iter()
-            .map(|(&key, e)| {
-                let remaining = e
-                    .open_until
-                    .map_or(0, |t| t.saturating_duration_since(now).as_millis() as u64);
-                QuarantineInfo {
-                    key,
-                    strikes: e.strikes,
-                    open: remaining > 0,
-                    remaining_ms: remaining,
-                }
-            })
+            .map(|(&key, b)| b.info(key))
             .collect();
         quarantine.sort_by_key(|q| q.key);
         HealthStatus {
@@ -1129,8 +1069,6 @@ impl Server {
         let plane = Plane::bind(
             &cfg.addr,
             PlaneConfig {
-                max_connections: cfg.max_connections,
-                read_budget: cfg.read_budget,
                 read_timeout_ms: cfg.read_timeout_ms,
                 conn_limited_metric: "gnnmls_serve_conn_limited_total",
                 drain_refused_metric: "gnnmls_serve_drain_refused_total",
