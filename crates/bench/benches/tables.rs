@@ -9,6 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gnn_mls::flow::{prepare, run_flow, FlowPolicy};
 use gnn_mls::oracle::{label_paths, net_mls_impact, OracleConfig};
 use gnn_mls::paths::extract_path_samples;
+use gnn_mls::SessionSpec;
 use gnnmls_bench::designs::bench_scale;
 use gnnmls_dft::{analyze_coverage, DftMode};
 use gnnmls_netlist::Tier;
@@ -59,12 +60,12 @@ fn bench_table4_fig2(c: &mut Criterion) {
 
 /// Table V: the homogeneous flow under the SOTA policy.
 fn bench_table5(c: &mut Criterion) {
-    use gnn_mls::flow::FlowConfig;
-    use gnnmls_netlist::generators::{generate_maeri, MaeriConfig};
-    use gnnmls_netlist::tech::TechConfig;
-    let tech = TechConfig::homogeneous_28_28(6, 6);
-    let design = generate_maeri(&MaeriConfig::pe16_bw4(), &tech).unwrap();
-    let cfg = FlowConfig::fast_test(2500.0);
+    let spec = SessionSpec {
+        tech: "homo".into(),
+        ..SessionSpec::fast("maeri16")
+    };
+    let design = spec.generate().unwrap();
+    let cfg = spec.flow_config();
     c.bench_function("table5_homo_sota_flow", |b| {
         b.iter(|| run_flow(&design, &cfg, FlowPolicy::Sota).unwrap().mls_nets)
     });

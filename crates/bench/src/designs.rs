@@ -3,14 +3,13 @@
 //! The generators reproduce each benchmark's *structure* at a scale that
 //! keeps the whole experiment suite in minutes (the paper's RTL is tens
 //! of times larger); EXPERIMENTS.md records the scale alongside the
-//! results. Targets follow the paper: 2,500 MHz for MAERI, 2,000 MHz for
-//! the A7.
+//! results. Each experiment is a [`SessionSpec`] naming a design and a
+//! stack; its target clock is the design's default — 2,500 MHz for
+//! MAERI, 2,000 MHz for the A7, as in the paper.
 
 use gnn_mls::flow::FlowConfig;
-use gnnmls_netlist::generators::{
-    generate_a7, generate_maeri, A7Config, GeneratedDesign, MaeriConfig,
-};
-use gnnmls_netlist::tech::TechConfig;
+use gnn_mls::session::SessionSpec;
+use gnnmls_netlist::generators::GeneratedDesign;
 
 /// One named experiment: a generated design plus its flow configuration.
 pub struct Experiment {
@@ -23,76 +22,54 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    fn new(name: &'static str, design: GeneratedDesign, mhz: f64) -> Self {
+    /// The experiment a spec describes: its generated design and flow
+    /// configuration.
+    fn new(name: &'static str, spec: &SessionSpec) -> Self {
         Self {
             name,
-            design,
-            cfg: FlowConfig::new(mhz),
+            design: spec.generate().expect("paper specs name known designs"),
+            cfg: spec.flow_config(),
         }
+    }
+}
+
+/// A named design on the homogeneous 28 + 28 nm stack.
+fn homo(design: &str) -> SessionSpec {
+    SessionSpec {
+        tech: "homo".into(),
+        ..SessionSpec::new(design)
     }
 }
 
 /// Table IV / Fig. 2 / Fig. 8-left: MAERI 128PE 32BW, 16 nm logic +
 /// 28 nm memory, BEOL 6+6, 2.5 GHz.
 pub fn maeri128_hetero() -> Experiment {
-    let tech = TechConfig::heterogeneous_16_28(6, 6);
-    Experiment::new(
-        "MAERI 128PE (hetero)",
-        generate_maeri(&MaeriConfig::pe128_bw32(), &tech).expect("generator is infallible"),
-        2500.0,
-    )
+    Experiment::new("MAERI 128PE (hetero)", &SessionSpec::new("maeri128"))
 }
 
 /// Table IV / Fig. 8: A7 dual-core, heterogeneous, BEOL 8+8, 2.0 GHz.
 pub fn a7_hetero() -> Experiment {
-    let tech = TechConfig::heterogeneous_16_28(8, 8);
-    Experiment::new(
-        "A7 Dual-Core (hetero)",
-        generate_a7(&A7Config::dual_core(), &tech).expect("generator is infallible"),
-        2000.0,
-    )
+    Experiment::new("A7 Dual-Core (hetero)", &SessionSpec::new("a7"))
 }
 
 /// Table V: MAERI 256PE 64BW, homogeneous 28 + 28 nm, 2.5 GHz.
 pub fn maeri256_homo() -> Experiment {
-    let tech = TechConfig::homogeneous_28_28(6, 6);
-    Experiment::new(
-        "MAERI 256PE (homo)",
-        generate_maeri(&MaeriConfig::pe256_bw64(), &tech).expect("generator is infallible"),
-        2500.0,
-    )
+    Experiment::new("MAERI 256PE (homo)", &homo("maeri256"))
 }
 
 /// Table V: A7 dual-core, homogeneous 28 + 28 nm, 2.0 GHz.
 pub fn a7_homo() -> Experiment {
-    let tech = TechConfig::homogeneous_28_28(8, 8);
-    Experiment::new(
-        "A7 Dual-Core (homo)",
-        generate_a7(&A7Config::dual_core(), &tech).expect("generator is infallible"),
-        2000.0,
-    )
+    Experiment::new("A7 Dual-Core (homo)", &homo("a7"))
 }
 
 /// Table III: MAERI 16PE 4BW (the DFT study design), heterogeneous.
 pub fn maeri16_hetero() -> Experiment {
-    let tech = TechConfig::heterogeneous_16_28(6, 6);
-    Experiment::new(
-        "MAERI 16PE 4BW (hetero)",
-        generate_maeri(&MaeriConfig::pe16_bw4(), &tech).expect("generator is infallible"),
-        2500.0,
-    )
+    Experiment::new("MAERI 16PE 4BW (hetero)", &SessionSpec::new("maeri16"))
 }
 
 /// A down-scaled experiment for Criterion benches (seconds, not minutes).
 pub fn bench_scale() -> Experiment {
-    let tech = TechConfig::heterogeneous_16_28(6, 6);
-    let mut e = Experiment::new(
-        "MAERI 16PE (bench scale)",
-        generate_maeri(&MaeriConfig::pe16_bw4(), &tech).expect("generator is infallible"),
-        2500.0,
-    );
-    e.cfg = FlowConfig::fast_test(2500.0);
-    e
+    Experiment::new("MAERI 16PE (bench scale)", &SessionSpec::fast("maeri16"))
 }
 
 #[cfg(test)]

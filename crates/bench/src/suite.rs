@@ -9,6 +9,8 @@
 //! workspace stays dependency-free. Each scenario names a design from
 //! [`gnn_mls::session::DESIGNS`], a technology, an MLS policy, and the
 //! per-scenario flow knobs (PDN analysis, DFT mode, fast/full config).
+//! [`Scenario::spec`] turns it into the same [`SessionSpec`] the CLI
+//! and the serve daemon run, which validates and generates the design.
 //!
 //! [`run_suite`] executes the scenarios selected by a profile and
 //! returns a [`SuiteReport`]: per-scenario PPA metrics (WNS/TNS,
@@ -25,7 +27,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use gnn_mls::flow::{run_flow, FlowConfig, FlowPolicy};
-use gnn_mls::session::{build_design, build_tech, DESIGNS};
+use gnn_mls::session::SessionSpec;
 use gnn_mls::FlowReport;
 use gnnmls_dft::DftMode;
 
@@ -89,12 +91,12 @@ impl std::error::Error for SuiteError {}
 pub struct Scenario {
     /// Unique scenario name (the diff key).
     pub name: String,
-    /// Design name (must be in [`DESIGNS`]).
+    /// Design name (must be in [`gnn_mls::session::DESIGNS`]).
     pub design: String,
     /// Technology name (`hetero` | `homo`).
     pub tech: String,
-    /// MLS policy (`no-mls` | `sota` | `gnn-mls`).
-    pub policy: String,
+    /// MLS policy (`no-mls` | `sota` | `gnn-mls` in the manifest).
+    pub policy: FlowPolicy,
     /// Profiles this scenario belongs to (e.g. `ci`, `full`).
     pub profiles: Vec<String>,
     /// Use the down-scaled fast-test flow configuration.
@@ -103,7 +105,7 @@ pub struct Scenario {
     pub pdn: bool,
     /// MLS DFT mode (`none` | `net` | `wire`).
     pub dft: String,
-    /// Target frequency, MHz; `0` = the design's paper default.
+    /// Target frequency, MHz; `0` (or absent) = the design's default.
     pub freq_mhz: f64,
     /// MLS-gain group: scenarios sharing a group are compared against
     /// the group's `no-mls` member. Empty = no gain computed.
@@ -116,7 +118,7 @@ impl Scenario {
             name: String::new(),
             design: String::new(),
             tech: "hetero".into(),
-            policy: "no-mls".into(),
+            policy: FlowPolicy::NoMls,
             profiles: Vec::new(),
             fast: true,
             pdn: false,
@@ -126,34 +128,24 @@ impl Scenario {
         }
     }
 
-    /// The paper-default target frequency for this scenario's design.
-    pub fn effective_freq_mhz(&self) -> f64 {
-        if self.freq_mhz > 0.0 {
-            self.freq_mhz
-        } else if self.design.starts_with("a7") {
-            2000.0
-        } else {
-            2500.0
+    /// The run this scenario describes: its design, stack, policy and
+    /// flow scale, at `freq_mhz` or (when that is 0) the design's
+    /// default clock.
+    pub fn spec(&self) -> SessionSpec {
+        let mut spec = SessionSpec::new(&self.design).with_policy(self.policy);
+        spec.tech.clone_from(&self.tech);
+        spec.fast = self.fast;
+        if self.freq_mhz != 0.0 {
+            spec.target_freq_mhz = self.freq_mhz;
         }
-    }
-
-    /// The flow policy this scenario routes under.
-    pub fn flow_policy(&self) -> Option<FlowPolicy> {
-        match self.policy.as_str() {
-            "no-mls" => Some(FlowPolicy::NoMls),
-            "sota" => Some(FlowPolicy::Sota),
-            "gnn-mls" => Some(FlowPolicy::GnnMls),
-            _ => None,
-        }
+        spec
     }
 
     /// The DFT mode this scenario inserts post-route.
-    pub fn dft_mode(&self) -> Option<Option<DftMode>> {
+    fn dft_mode(&self) -> Result<Option<DftMode>, String> {
         match self.dft.as_str() {
-            "none" => Some(None),
-            "net" => Some(Some(DftMode::NetBased)),
-            "wire" => Some(Some(DftMode::WireBased)),
-            _ => None,
+            "none" => Ok(None),
+            mode => mode.parse().map(Some),
         }
     }
 
@@ -165,35 +157,18 @@ impl Scenario {
         if self.name.is_empty() {
             return Err(bad("missing `name`".into()));
         }
-        if !DESIGNS.iter().any(|&(d, _)| d == self.design) {
-            return Err(bad(format!("unknown design `{}`", self.design)));
-        }
-        if build_tech(&self.tech, &self.design).is_none() {
-            return Err(bad(format!("unknown tech `{}` (hetero|homo)", self.tech)));
-        }
-        if self.flow_policy().is_none() {
-            return Err(bad(format!(
-                "unknown policy `{}` (no-mls|sota|gnn-mls)",
-                self.policy
-            )));
-        }
-        if self.dft_mode().is_none() {
-            return Err(bad(format!("unknown dft `{}` (none|net|wire)", self.dft)));
-        }
+        self.spec().validate().map_err(|e| bad(e.to_string()))?;
+        self.dft_mode().map_err(bad)?;
         if self.profiles.is_empty() {
             return Err(bad("scenario selects no profiles".into()));
         }
         Ok(())
     }
 
-    /// The flow configuration this scenario runs with.
+    /// The flow configuration this scenario runs with: its spec's, plus
+    /// the scenario's PDN and DFT knobs.
     pub fn flow_config(&self) -> FlowConfig {
-        let freq = self.effective_freq_mhz();
-        let mut cfg = if self.fast {
-            FlowConfig::fast_test(freq)
-        } else {
-            FlowConfig::new(freq)
-        };
+        let mut cfg = self.spec().flow_config();
         cfg.analyze_pdn = self.pdn;
         cfg.dft = self.dft_mode().unwrap_or(None);
         cfg
@@ -333,7 +308,7 @@ pub fn parse_manifest(text: &str) -> Result<SuiteManifest, SuiteError> {
                     ("name", TomlValue::Str(v)) => s.name = v,
                     ("design", TomlValue::Str(v)) => s.design = v,
                     ("tech", TomlValue::Str(v)) => s.tech = v,
-                    ("policy", TomlValue::Str(v)) => s.policy = v,
+                    ("policy", TomlValue::Str(v)) => s.policy = v.parse().map_err(err)?,
                     ("profiles", TomlValue::StrArray(v)) => s.profiles = v,
                     ("fast", TomlValue::Bool(v)) => s.fast = v,
                     ("pdn", TomlValue::Bool(v)) => s.pdn = v,
@@ -450,12 +425,12 @@ fn add_mls_gains(manifest_rows: &[(&Scenario, usize)], results: &mut [ScenarioRe
     // Group name -> index of the group's no-mls result.
     let mut baselines: BTreeMap<String, usize> = BTreeMap::new();
     for (scn, i) in manifest_rows {
-        if !scn.group.is_empty() && scn.policy == "no-mls" {
+        if !scn.group.is_empty() && scn.policy == FlowPolicy::NoMls {
             baselines.entry(scn.group.clone()).or_insert(*i);
         }
     }
     for (scn, i) in manifest_rows {
-        if scn.group.is_empty() || scn.policy == "no-mls" {
+        if scn.group.is_empty() || scn.policy == FlowPolicy::NoMls {
             continue;
         }
         let Some(&b) = baselines.get(&scn.group) else {
@@ -503,28 +478,23 @@ pub fn run_suite(manifest: &SuiteManifest, profile: &str) -> Result<SuiteReport,
             scn.name,
             scn.design,
             scn.tech,
-            scn.policy
+            scn.policy.cli_name()
         );
         let flow_err = |msg: String| SuiteError::Flow {
             scenario: scn.name.clone(),
             msg,
         };
-        let tech = build_tech(&scn.tech, &scn.design)
-            .ok_or_else(|| flow_err(format!("unknown tech `{}`", scn.tech)))?;
-        let design = build_design(&scn.design, &tech)
-            .ok_or_else(|| flow_err(format!("unknown design `{}`", scn.design)))?;
+        let spec = scn.spec();
+        let design = spec.generate().map_err(|e| flow_err(e.to_string()))?;
         let cfg = scn.flow_config();
-        let policy = scn
-            .flow_policy()
-            .ok_or_else(|| flow_err(format!("unknown policy `{}`", scn.policy)))?;
         let t0 = Instant::now();
-        let report = run_flow(&design, &cfg, policy).map_err(|e| flow_err(e.to_string()))?;
+        let report = run_flow(&design, &cfg, spec.policy).map_err(|e| flow_err(e.to_string()))?;
         let wall = t0.elapsed().as_secs_f64();
         let metrics = suite_metrics(&report);
 
         gnnmls_obs::counter_add(
             "bench_suite_scenarios_total",
-            &[("profile", profile), ("policy", &scn.policy)],
+            &[("profile", profile), ("policy", scn.policy.cli_name())],
             1,
         );
         gnnmls_obs::gauge_set(
@@ -543,7 +513,7 @@ pub fn run_suite(manifest: &SuiteManifest, profile: &str) -> Result<SuiteReport,
             name: scn.name.clone(),
             design: scn.design.clone(),
             tech: scn.tech.clone(),
-            policy: scn.policy.clone(),
+            policy: scn.policy.cli_name().to_string(),
             metrics,
             wall_clock_s: wall,
         });
@@ -633,7 +603,7 @@ fast = false
         assert!(s.pdn);
         assert_eq!(s.dft, "net");
         assert_eq!(s.freq_mhz, 2400.0);
-        assert_eq!(s.flow_policy(), Some(FlowPolicy::GnnMls));
+        assert_eq!(s.policy, FlowPolicy::GnnMls);
         let cfg = s.flow_config();
         assert!(cfg.analyze_pdn);
         assert_eq!(cfg.dft, Some(DftMode::NetBased));
@@ -642,7 +612,7 @@ fast = false
         let n = &m.scenarios[2];
         assert_eq!(n.tech, "homo");
         assert!(!n.fast);
-        assert_eq!(n.effective_freq_mhz(), 2500.0);
+        assert_eq!(n.spec().target_freq_mhz, 2500.0);
     }
 
     #[test]
@@ -665,6 +635,10 @@ fast = false
             (
                 "version = 1\n[[scenario]]\nname = \"x\"\ndesign = \"maeri16\"",
                 "no profiles",
+            ),
+            (
+                "version = 1\n[[scenario]]\nname = \"x\"\ndesign = \"maeri16\"\nprofiles = [\"ci\"]\nfreq_mhz = -5",
+                "target frequency -5 MHz",
             ),
             (
                 "version = 1\n[[scenario]]\nname = \"x\"\ndesign = \"maeri16\"\nprofiles = [\"ci\"]\n[[scenario]]\nname = \"x\"\ndesign = \"maeri16\"\nprofiles = [\"ci\"]",

@@ -320,53 +320,22 @@ pub fn encode_stage<T: Serialize>(stage: &str, value: &T) -> Result<Vec<u8>, Che
 /// not parse.
 pub fn decode_stage<T: Deserialize>(stage: &str, bytes: &[u8]) -> Result<T, CheckpointError> {
     let corrupt = |why: &str| CheckpointError::Corrupt(format!("stage `{stage}`: {why}"));
-    let nl = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| corrupt("missing header line"))?;
-    let header = std::str::from_utf8(&bytes[..nl]).map_err(|_| corrupt("header is not utf-8"))?;
-    let rest = header
-        .strip_prefix(STAGE_MAGIC)
-        .ok_or_else(|| corrupt("bad magic"))?;
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    // Three fields (name, sum, len) is the original version-0 header;
-    // four or more carries the format version ahead of the checksum. A
-    // newer version may extend the header, so the version is checked
-    // before the field count.
-    let (name, sum, len) = match fields.as_slice() {
-        [n, s, l] => (*n, *s, *l),
-        [n, ver, tail @ ..] if !tail.is_empty() => {
-            let ver: u32 = ver.parse().map_err(|_| corrupt("bad version field"))?;
-            if ver > STAGE_FORMAT_VERSION {
-                return Err(CheckpointError::Version {
-                    found: ver,
-                    supported: STAGE_FORMAT_VERSION,
-                });
-            }
-            match tail {
-                [s, l] => (*n, *s, *l),
-                _ => return Err(corrupt("malformed header")),
-            }
+    match inspect_envelope(bytes) {
+        EnvelopeStatus::Valid { stage: name, .. } if name != stage => {
+            Err(corrupt(&format!("holds stage `{name}`")))
         }
-        _ => return Err(corrupt("malformed header")),
-    };
-    if name != stage {
-        return Err(corrupt(&format!("holds stage `{name}`")));
+        EnvelopeStatus::Valid { .. } => {
+            // The payload is everything after the header line.
+            let payload = bytes.splitn(2, |&b| b == b'\n').nth(1).unwrap_or_default();
+            let json = std::str::from_utf8(payload).map_err(|_| corrupt("payload is not utf-8"))?;
+            Ok(serde_json::from_str(json)?)
+        }
+        EnvelopeStatus::FutureVersion { found, supported } => {
+            Err(CheckpointError::Version { found, supported })
+        }
+        EnvelopeStatus::ChecksumMismatch => Err(corrupt("checksum mismatch")),
+        EnvelopeStatus::Malformed(why) => Err(corrupt(&why)),
     }
-    let sum = u64::from_str_radix(sum, 16).map_err(|_| corrupt("bad checksum field"))?;
-    let len: usize = len.parse().map_err(|_| corrupt("bad length field"))?;
-    let payload = &bytes[nl + 1..];
-    if payload.len() != len {
-        return Err(corrupt(&format!(
-            "payload is {} bytes, header says {len}",
-            payload.len()
-        )));
-    }
-    if fnv1a64(payload) != sum {
-        return Err(corrupt("checksum mismatch"));
-    }
-    let json = std::str::from_utf8(payload).map_err(|_| corrupt("payload is not utf-8"))?;
-    Ok(serde_json::from_str(json)?)
 }
 
 /// What [`inspect_envelope`] concluded about one artifact's bytes.
@@ -395,10 +364,11 @@ pub enum EnvelopeStatus {
     Malformed(String),
 }
 
-/// Stage-agnostic envelope triage for `fsck`: unlike [`decode_stage`]
-/// it does not know (or care) which stage the file *should* hold and
-/// never deserializes the payload — it only answers "is this artifact
-/// intact, and which stage/version does it claim?".
+/// Stage-agnostic envelope triage, the one parser of the envelope
+/// header: `fsck` calls it directly, and [`decode_stage`] calls it
+/// before checking the stage name and deserializing the payload. It
+/// only answers "is this artifact intact, and which stage/version does
+/// it claim?".
 pub fn inspect_envelope(bytes: &[u8]) -> EnvelopeStatus {
     let bad = |why: &str| EnvelopeStatus::Malformed(why.to_string());
     let Some(nl) = bytes.iter().position(|&b| b == b'\n') else {
@@ -411,10 +381,11 @@ pub fn inspect_envelope(bytes: &[u8]) -> EnvelopeStatus {
         return bad("bad magic");
     };
     let fields: Vec<&str> = rest.split_whitespace().collect();
-    // Same header grammar as `decode_stage`: three fields is the
-    // legacy version-0 header, four or more carries the version —
-    // checked before the field count so a longer future header still
-    // classifies as FutureVersion, not Malformed.
+    // Three fields (name, sum, len) is the legacy version-0 header;
+    // four or more carries the version ahead of the checksum. A newer
+    // version may extend the header, so the version is checked before
+    // the field count: a longer future header classifies as
+    // FutureVersion, not Malformed.
     let (version, sum, len) = match fields.as_slice() {
         [_, s, l] => (0u32, *s, *l),
         [_, ver, tail @ ..] if !tail.is_empty() => {

@@ -13,6 +13,7 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -22,7 +23,7 @@ use gnnmls_netlist::generators::GeneratedDesign;
 use gnnmls_netlist::graph::GraphError;
 use gnnmls_netlist::{NetId, Netlist, NetlistError, Tier};
 use gnnmls_pdn::ir::size_for_budget;
-use gnnmls_pdn::{insert_level_shifters, PowerConfig, PowerReport};
+use gnnmls_pdn::{insert_level_shifters, LevelShifterReport, PowerConfig, PowerReport};
 use gnnmls_phys::{
     insert_repeaters, place, Floorplan, PlaceConfig, PlaceError, Placement, RepeaterConfig,
 };
@@ -57,15 +58,36 @@ impl FlowPolicy {
             FlowPolicy::GnnMls => "GNN-MLS",
         }
     }
+
+    /// The command-line and suite-manifest spelling, which
+    /// [`FlowPolicy::from_str`] parses back.
+    pub fn cli_name(self) -> &'static str {
+        match self {
+            FlowPolicy::NoMls => "no-mls",
+            FlowPolicy::Sota => "sota",
+            FlowPolicy::GnnMls => "gnn-mls",
+        }
+    }
+}
+
+impl FromStr for FlowPolicy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        [FlowPolicy::NoMls, FlowPolicy::Sota, FlowPolicy::GnnMls]
+            .into_iter()
+            .find(|p| p.cli_name() == s)
+            .ok_or_else(|| format!("unknown policy `{s}` (no-mls|sota|gnn-mls)"))
+    }
 }
 
 /// Flow configuration.
 ///
-/// Construct through [`FlowConfig::new`] / [`FlowConfig::fast_test`] /
-/// [`FlowConfig::builder`]; the struct is `#[non_exhaustive]` so fields
-/// can grow without breaking downstream crates. To derive a modified
-/// copy, mutate the public fields or go through
-/// [`FlowConfig::to_builder`].
+/// Construct through [`FlowConfig::new`] / [`FlowConfig::fast_test`]
+/// (or [`crate::SessionSpec::flow_config`] for a named run); the struct
+/// is `#[non_exhaustive]` so fields can grow without breaking
+/// downstream crates. To derive a modified copy, mutate the public
+/// fields.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct FlowConfig {
@@ -171,136 +193,11 @@ impl FlowConfig {
         self
     }
 
-    /// A checked builder seeded with the paper-like defaults at
-    /// `target_freq_mhz`. Prefer this over mutating public fields when
-    /// the values come from user input: [`FlowConfigBuilder::build`]
-    /// validates every knob and returns a typed
-    /// [`crate::session::ValidationError`] instead of letting a garbage
-    /// config reach the middle of the flow.
-    pub fn builder(target_freq_mhz: f64) -> FlowConfigBuilder {
-        FlowConfigBuilder {
-            cfg: Self::new(target_freq_mhz),
-        }
-    }
-
-    /// Re-opens this config as a builder — the supported way to derive
-    /// a modified copy now that the struct is `#[non_exhaustive]`.
-    pub fn to_builder(&self) -> FlowConfigBuilder {
-        FlowConfigBuilder { cfg: self.clone() }
-    }
-
     /// The routing config with the flow-level thread knob applied (the
     /// config every router the flow — or the zoo corpus builder —
     /// constructs must use).
     pub fn route_cfg(&self) -> RouteConfig {
         self.route.clone().with_threads(self.threads)
-    }
-}
-
-macro_rules! flow_builder_setters {
-    ($($(#[$doc:meta])* $name:ident: $ty:ty),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            #[must_use]
-            pub fn $name(mut self, $name: $ty) -> Self {
-                self.cfg.$name = $name;
-                self
-            }
-        )*
-    };
-}
-
-/// Checked builder for [`FlowConfig`] (see [`FlowConfig::builder`]).
-#[derive(Clone, Debug)]
-pub struct FlowConfigBuilder {
-    cfg: FlowConfig,
-}
-
-impl FlowConfigBuilder {
-    flow_builder_setters! {
-        /// Target clock frequency, MHz.
-        target_freq_mhz: f64,
-        /// Placement knobs.
-        place: PlaceConfig,
-        /// Routing knobs (validated again at [`FlowConfigBuilder::build`]).
-        route: RouteConfig,
-        /// Model hyperparameters.
-        model: ModelConfig,
-        /// Oracle labeling threshold.
-        oracle: OracleConfig,
-        /// Paths labeled for fine-tuning.
-        train_paths: usize,
-        /// Extra labeled paths held out for evaluation metrics.
-        eval_paths: usize,
-        /// Paths used for DGI pretraining and decision inference.
-        inference_paths: usize,
-        /// MLS DFT strategy to insert post-route (`None` = skip DFT).
-        dft: Option<DftMode>,
-        /// PDN stripe pitch, µm.
-        pdn_pitch_um: f64,
-        /// IR-drop budget as % of the lowest VDD.
-        ir_budget_pct: f64,
-        /// Switching activity for the power model.
-        activity: f64,
-        /// Insert level shifters on 3D nets of heterogeneous stacks.
-        level_shifters: bool,
-        /// Repeater insertion parameters.
-        repeaters: RepeaterConfig,
-        /// Pre-trained model checkpoint (skips oracle + training).
-        pretrained: Option<ModelCheckpoint>,
-        /// Save the trained model as a JSON checkpoint after training.
-        save_model: Option<std::path::PathBuf>,
-        /// Run the PDN/IR analysis.
-        analyze_pdn: bool,
-        /// Stage-checkpoint directory for resumable flows.
-        resume: Option<PathBuf>,
-        /// Worker threads (`0` = all cores, `1` = serial).
-        threads: usize,
-    }
-
-    /// Validates every knob and returns the config.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::session::ValidationError::BadFrequency`] for an
-    /// unusable target frequency and
-    /// [`crate::session::ValidationError::BadConfig`] for any other
-    /// out-of-domain field (including the nested [`RouteConfig`], which
-    /// is re-checked through its own builder).
-    pub fn build(self) -> Result<FlowConfig, crate::session::ValidationError> {
-        use crate::session::ValidationError;
-        let c = self.cfg;
-        if !c.target_freq_mhz.is_finite()
-            || c.target_freq_mhz <= 0.0
-            || c.target_freq_mhz > crate::session::MAX_FREQ_MHZ
-        {
-            return Err(ValidationError::BadFrequency(c.target_freq_mhz));
-        }
-        let bad = |field: &'static str, got: String, want: &'static str| {
-            Err(ValidationError::BadConfig { field, got, want })
-        };
-        if c.inference_paths == 0 {
-            return bad("inference_paths", "0".to_string(), ">= 1");
-        }
-        if !(c.pdn_pitch_um.is_finite() && c.pdn_pitch_um > 0.0) {
-            return bad("pdn_pitch_um", c.pdn_pitch_um.to_string(), "finite > 0");
-        }
-        if !(c.ir_budget_pct.is_finite() && c.ir_budget_pct > 0.0) {
-            return bad("ir_budget_pct", c.ir_budget_pct.to_string(), "finite > 0");
-        }
-        if !(c.activity.is_finite() && (0.0..=1.0).contains(&c.activity)) {
-            return bad("activity", c.activity.to_string(), "finite in [0, 1]");
-        }
-        // The nested routing config has its own checked builder; a flow
-        // config is only as valid as the route config it carries.
-        if let Err(e) = c.route.to_builder().build() {
-            return Err(ValidationError::BadConfig {
-                field: e.field,
-                got: e.got,
-                want: e.want,
-            });
-        }
-        Ok(c)
     }
 }
 
@@ -420,13 +317,39 @@ pub fn prepare(
     design: &GeneratedDesign,
     cfg: &FlowConfig,
 ) -> Result<(Netlist, Placement), FlowError> {
+    prepare_reported(design, cfg).map(|(netlist, placement, _)| (netlist, placement))
+}
+
+/// [`prepare`], keeping the level-shifter report the flow's power total
+/// needs. Each step runs under its own span (`place`, `level_shifters`,
+/// `repeaters`).
+fn prepare_reported(
+    design: &GeneratedDesign,
+    cfg: &FlowConfig,
+) -> Result<(Netlist, Placement, LevelShifterReport), FlowError> {
+    let tech = &design.tech;
     let mut netlist = design.netlist.clone();
-    let mut placement = place(&netlist, &cfg.place)?;
-    if cfg.level_shifters {
-        insert_level_shifters(&mut netlist, &mut placement, &design.tech)?;
+    let mut placement = {
+        let _s = gnnmls_obs::span("place");
+        place(&netlist, &cfg.place)?
+    };
+    // Level shifters on 3D signals (heterogeneous stacks).
+    let ls = {
+        let mut s = gnnmls_obs::span("level_shifters");
+        let ls = if cfg.level_shifters {
+            insert_level_shifters(&mut netlist, &mut placement, tech)?
+        } else {
+            LevelShifterReport::default()
+        };
+        s.field_u64("inserted", ls.count as u64);
+        ls
+    };
+    // Physical synthesis: break over-long wires with repeaters.
+    {
+        let _s = gnnmls_obs::span("repeaters");
+        insert_repeaters(&mut netlist, &mut placement, tech, &cfg.repeaters)?;
     }
-    insert_repeaters(&mut netlist, &mut placement, &design.tech, &cfg.repeaters)?;
-    Ok((netlist, placement))
+    Ok((netlist, placement, ls))
 }
 
 /// The resumable result of the GNN-MLS learning stage (stage name
@@ -541,29 +464,7 @@ pub fn run_flow(
 
     let tech = &design.tech;
     let sta_cfg = StaConfig::from_freq_mhz(cfg.target_freq_mhz);
-    let mut netlist = design.netlist.clone();
-    let mut placement = {
-        let _s = gnnmls_obs::span("place");
-        place(&netlist, &cfg.place)?
-    };
-
-    // Level shifters on 3D signals (heterogeneous stacks).
-    let ls = {
-        let mut s = gnnmls_obs::span("level_shifters");
-        let ls = if cfg.level_shifters {
-            insert_level_shifters(&mut netlist, &mut placement, tech)?
-        } else {
-            Default::default()
-        };
-        s.field_u64("inserted", ls.count as u64);
-        ls
-    };
-    // Physical synthesis: break over-long wires with repeaters (keep in
-    // sync with [`prepare`]).
-    {
-        let _s = gnnmls_obs::span("repeaters");
-        insert_repeaters(&mut netlist, &mut placement, tech, &cfg.repeaters)?;
-    }
+    let (mut netlist, mut placement, ls) = prepare_reported(design, cfg)?;
 
     // Resolve the routing policy; GNN-MLS trains its decisions first
     // (or resumes them from the checkpointed stage).

@@ -24,16 +24,16 @@
 //!
 //! # Quick start
 //!
-//! ```no_run
-//! use gnn_mls::flow::{run_flow, FlowConfig, FlowPolicy};
-//! use gnnmls_netlist::generators::{generate_maeri, MaeriConfig};
-//! use gnnmls_netlist::tech::TechConfig;
+//! A [`SessionSpec`] is the run description — design, stack, target
+//! clock and policy — that the CLI, the serve daemon and the benches
+//! all resolve through:
 //!
-//! # fn main() -> Result<(), gnn_mls::flow::FlowError> {
-//! let tech = TechConfig::heterogeneous_16_28(6, 6);
-//! let design = generate_maeri(&MaeriConfig::pe16_bw4(), &tech).unwrap();
-//! let cfg = FlowConfig::new(2500.0);
-//! let report = run_flow(&design, &cfg, FlowPolicy::GnnMls)?;
+//! ```no_run
+//! use gnn_mls::{run_flow, FlowPolicy, SessionSpec};
+//!
+//! # fn main() -> Result<(), gnn_mls::SessionError> {
+//! let spec = SessionSpec::new("maeri16").with_policy(FlowPolicy::GnnMls);
+//! let report = run_flow(&spec.generate()?, &spec.flow_config(), spec.policy)?;
 //! println!("{report}");
 //! # Ok(())
 //! # }
@@ -55,7 +55,6 @@
     )
 )]
 
-pub mod api;
 pub mod audit;
 pub mod checkpoint;
 pub mod features;
@@ -67,11 +66,10 @@ pub mod report;
 pub mod session;
 pub mod store;
 
-pub use api::{Query, QueryAnswer};
 pub use audit::{check_report, check_routes};
 pub use checkpoint::{CheckpointError, ModelCheckpoint, ModelVersion, ZooModelCheckpoint};
 pub use features::{node_features, FeatureScaler, FEATURE_DIM};
-pub use flow::{run_flow, FlowConfig, FlowConfigBuilder, FlowError, FlowPolicy};
+pub use flow::{run_flow, FlowConfig, FlowError, FlowPolicy};
 pub use gnnmls_route::{AuditMode, AuditViolation};
 pub use model::{GnnMls, ModelConfig};
 pub use oracle::{label_paths, net_mls_impact, NetImpact, OracleConfig};

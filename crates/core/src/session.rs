@@ -1,4 +1,12 @@
-//! Warm design sessions — the serve-facing API.
+//! Run descriptions and warm design sessions.
+//!
+//! A [`SessionSpec`] names one run the way the paper keys a table row:
+//! design, technology stack, target clock and MLS policy. It is the one
+//! run description. The CLI `flow` verb, the serve daemon, `bench
+//! suite` and the paper experiments all check it with
+//! [`SessionSpec::validate`] and resolve it with
+//! [`SessionSpec::generate`], so a named design, its stack and its
+//! default clock are written once, here.
 //!
 //! A [`DesignSession`] is everything a long-lived server needs to answer
 //! what-if and inference queries without re-paying the cold start: the
@@ -129,9 +137,8 @@ pub enum ValidationError {
         /// The server's limit.
         max: u64,
     },
-    /// A config-builder field outside its valid domain (see
-    /// [`crate::flow::FlowConfigBuilder::build`] and the route/serve
-    /// builders, which all funnel here).
+    /// A config-builder field outside its valid domain (the serve
+    /// daemon's and the cluster front's config builders report here).
     BadConfig {
         /// The offending field.
         field: &'static str,
@@ -251,6 +258,22 @@ impl SessionSpec {
             return Err(ValidationError::UnknownDesign(self.design.clone()));
         }
         Ok(())
+    }
+
+    /// Resolves the spec into its generated design: validates, then
+    /// builds the named technology stack and design. This is the one
+    /// place a named spec becomes a [`GeneratedDesign`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`SessionError`] of the first failing
+    /// [`SessionSpec::validate`] check.
+    pub fn generate(&self) -> Result<GeneratedDesign, SessionError> {
+        self.validate()?;
+        let tech = build_tech(&self.tech, &self.design)
+            .ok_or_else(|| SessionError::UnknownTech(self.tech.clone()))?;
+        build_design(&self.design, &tech)
+            .ok_or_else(|| SessionError::UnknownDesign(self.design.clone()))
     }
 
     /// The flow configuration this spec builds with.
@@ -442,18 +465,15 @@ impl DesignSession {
     /// stage.
     pub fn build(spec: &SessionSpec) -> Result<Self, SessionError> {
         let t0 = Instant::now();
-        spec.validate().map_err(SessionError::from)?;
+        let design = spec.generate()?;
         // Fault seam: a spec that validates but whose build bombs —
         // the input the quarantine circuit breaker exists for.
         if gnnmls_faults::fire(gnnmls_faults::FaultSite::SessionBuildFail) {
             return Err(SessionError::InjectedBuildFailure);
         }
-        let tech = build_tech(&spec.tech, &spec.design)
-            .ok_or_else(|| SessionError::UnknownTech(spec.tech.clone()))?;
-        let design = build_design(&spec.design, &tech)
-            .ok_or_else(|| SessionError::UnknownDesign(spec.design.clone()))?;
         let cfg = spec.flow_config();
         let (netlist, placement) = prepare(&design, &cfg)?;
+        let tech = design.tech;
         let sta_cfg = StaConfig::from_freq_mhz(spec.target_freq_mhz);
 
         let (route_policy, model) = match spec.policy {
@@ -639,23 +659,6 @@ impl DesignSession {
         Ok(self.infer_from_probs(k, &probs))
     }
 
-    /// [`DesignSession::infer`], but through an externally supplied
-    /// model instead of the session's own — the hot-swap path: a zoo
-    /// model loaded after this session was built answers over the
-    /// session's warm samples without rebuilding or mutating it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SessionError::Flow`] if the model rejects the samples
-    /// (e.g. it was never trained).
-    pub fn infer_with_model(&self, model: &GnnMls, k: usize) -> Result<InferResult, SessionError> {
-        let k = k.min(self.samples.len());
-        let probs = model
-            .predict_paths(&self.samples[..k])
-            .map_err(FlowError::Model)?;
-        Ok(self.infer_from_probs(k, &probs))
-    }
-
     /// Aggregates precomputed per-node probabilities for the worst `k`
     /// samples into an [`InferResult`] — the same rule as
     /// [`GnnMls::decide`] (max probability per net over eligible nodes
@@ -732,6 +735,27 @@ mod tests {
             DesignSession::build(&spec),
             Err(SessionError::UnknownTech(_))
         ));
+    }
+
+    #[test]
+    fn generate_validates_before_work() {
+        let mut spec = fast_spec();
+        spec.design = "nope".into();
+        assert!(matches!(
+            spec.generate(),
+            Err(SessionError::UnknownDesign(_))
+        ));
+        let mut spec = fast_spec();
+        spec.tech = "nope".into();
+        assert!(matches!(spec.generate(), Err(SessionError::UnknownTech(_))));
+        let mut spec = fast_spec();
+        spec.target_freq_mhz = f64::INFINITY;
+        assert!(matches!(
+            spec.generate(),
+            Err(SessionError::Invalid(ValidationError::BadFrequency(_)))
+        ));
+        let design = fast_spec().generate().unwrap();
+        assert_eq!(design.netlist.name(), "maeri16pe_4bw");
     }
 
     #[test]

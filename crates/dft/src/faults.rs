@@ -38,6 +38,20 @@ pub enum DftMode {
     WireBased,
 }
 
+/// Parses the command-line and manifest spelling of an inserted DFT
+/// strategy: `net` or `wire`.
+impl std::str::FromStr for DftMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "net" => Ok(DftMode::NetBased),
+            "wire" => Ok(DftMode::WireBased),
+            other => Err(format!("unknown dft mode `{other}` (net|wire)")),
+        }
+    }
+}
+
 /// Fraction of otherwise-detectable faults left undetected by pattern
 /// generation limits (deterministic pseudo-random residue).
 const ATPG_HARD_PER_MILLE: u64 = 17;

@@ -18,10 +18,9 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use gnn_mls::checkpoint::ModelVersion;
-use gnn_mls::flow::{run_flow, FlowConfig, FlowPolicy};
-use gnn_mls::session::{build_design, build_tech, SessionSpec, DESIGNS};
+use gnn_mls::flow::{run_flow, FlowPolicy};
+use gnn_mls::session::{SessionSpec, DESIGNS};
 use gnn_mls::{GnnMls, ModelConfig};
-use gnnmls_dft::DftMode;
 use gnnmls_netlist::verilog::write_verilog;
 use gnnmls_serve::cluster::{ClusterConfig, ClusterFront, ShardBackendSpec, ShardSpawnSpec};
 use gnnmls_serve::protocol::{Request, Response, ResponseKind};
@@ -104,31 +103,24 @@ fn parse_opts<'a>(
     Ok((opts, seen_flags))
 }
 
-/// Builds a [`SessionSpec`] from the shared spec flags.
+/// Builds a [`SessionSpec`] from the shared spec flags and checks it
+/// with [`SessionSpec::validate`].
 fn spec_from_opts(opts: &HashMap<&str, &str>, fast: bool) -> Result<SessionSpec, String> {
     let design = opts.get("design").copied().unwrap_or("maeri16");
     let mut spec = SessionSpec::new(design);
     spec.fast = fast;
     if let Some(tech) = opts.get("tech") {
-        match *tech {
-            "hetero" | "homo" => spec.tech = (*tech).to_string(),
-            other => return Err(format!("unknown tech `{other}` (hetero|homo)")),
-        }
+        spec.tech = (*tech).to_string();
     }
     if let Some(policy) = opts.get("policy") {
-        spec.policy = match *policy {
-            "no-mls" => FlowPolicy::NoMls,
-            "sota" => FlowPolicy::Sota,
-            "gnn-mls" => FlowPolicy::GnnMls,
-            other => return Err(format!("unknown policy `{other}` (no-mls|sota|gnn-mls)")),
-        };
+        spec.policy = policy.parse()?;
     }
     if let Some(freq) = opts.get("freq") {
-        match freq.parse::<f64>() {
-            Ok(f) if f > 0.0 => spec.target_freq_mhz = f,
-            _ => return Err("--freq must be a positive number (MHz)".to_string()),
-        }
+        spec.target_freq_mhz = freq
+            .parse()
+            .map_err(|_| format!("--freq must be a number (MHz), got `{freq}`"))?;
     }
+    spec.validate().map_err(|e| e.to_string())?;
     Ok(spec)
 }
 
@@ -1018,83 +1010,55 @@ fn bench_diff_cmd(args: &[String]) -> ExitCode {
 }
 
 fn run_flow_cmd(args: &[String]) -> ExitCode {
-    let mut opts: HashMap<&str, &str> = HashMap::new();
-    let mut fast = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--fast" {
-            fast = true;
-            continue;
+    let (opts, flags) = match parse_opts(
+        args,
+        &[
+            "design",
+            "tech",
+            "policy",
+            "freq",
+            "dft",
+            "json",
+            "verilog",
+            "save-model",
+            "load-model",
+            "resume",
+        ],
+        &["fast"],
+    ) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("{e}\n{}", usage());
+            return ExitCode::FAILURE;
         }
-        let Some(key) = a.strip_prefix("--") else {
-            eprintln!("unexpected argument `{a}`\n{}", usage());
+    };
+    let mut spec = match spec_from_opts(&opts, flags.contains(&"fast")) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
-        };
-        let Some(v) = it.next() else {
-            eprintln!("missing value for --{key}");
-            return ExitCode::FAILURE;
-        };
-        opts.insert(
-            match key {
-                "design" | "tech" | "policy" | "freq" | "dft" | "json" | "verilog"
-                | "save-model" | "load-model" | "resume" => key,
-                other => {
-                    eprintln!("unknown option --{other}\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            v,
-        );
+        }
+    };
+    // The flow verb runs the paper's contribution unless told otherwise.
+    if !opts.contains_key("policy") {
+        spec.policy = FlowPolicy::GnnMls;
     }
-
-    let design_name = opts.get("design").copied().unwrap_or("maeri16");
-    let is_a7 = design_name.starts_with("a7");
-    let Some(tech) = build_tech(opts.get("tech").copied().unwrap_or("hetero"), design_name) else {
-        eprintln!(
-            "unknown tech `{}` (hetero|homo)",
-            opts.get("tech").copied().unwrap_or("hetero")
-        );
-        return ExitCode::FAILURE;
-    };
-    let Some(design) = build_design(design_name, &tech) else {
-        eprintln!("unknown design `{design_name}`; see `gnnmls designs`");
-        return ExitCode::FAILURE;
-    };
-
-    let policy = match opts.get("policy").copied().unwrap_or("gnn-mls") {
-        "no-mls" => FlowPolicy::NoMls,
-        "sota" => FlowPolicy::Sota,
-        "gnn-mls" => FlowPolicy::GnnMls,
-        other => {
-            eprintln!("unknown policy `{other}` (no-mls|sota|gnn-mls)");
-            return ExitCode::FAILURE;
-        }
-    };
-    let freq: f64 = match opts
-        .get("freq")
-        .copied()
-        .unwrap_or(if is_a7 { "2000" } else { "2500" })
-        .parse()
-    {
-        Ok(f) if f > 0.0 => f,
-        _ => {
-            eprintln!("--freq must be a positive number (MHz)");
+    let design = match spec.generate() {
+        Ok(d) => d,
+        Err(e) => {
+            eprintln!("gnnmls flow: {e}");
             return ExitCode::FAILURE;
         }
     };
 
-    let mut cfg = if fast {
-        FlowConfig::fast_test(freq)
-    } else {
-        FlowConfig::new(freq)
-    };
-    match opts.get("dft").copied() {
-        None => {}
-        Some("net") => cfg.dft = Some(DftMode::NetBased),
-        Some("wire") => cfg.dft = Some(DftMode::WireBased),
-        Some(other) => {
-            eprintln!("unknown dft mode `{other}` (net|wire)");
-            return ExitCode::FAILURE;
+    let mut cfg = spec.flow_config();
+    if let Some(mode) = opts.get("dft") {
+        match mode.parse() {
+            Ok(mode) => cfg.dft = Some(mode),
+            Err(e) => {
+                eprintln!("{e}");
+                return ExitCode::FAILURE;
+            }
         }
     }
     if let Some(path) = opts.get("save-model") {
@@ -1125,12 +1089,13 @@ fn run_flow_cmd(args: &[String]) -> ExitCode {
     }
 
     eprintln!(
-        "running {} [{}] @ {freq} MHz ({})...",
+        "running {} [{}] @ {} MHz ({})...",
         design.netlist.name(),
-        policy.name(),
-        tech.name
+        spec.policy.name(),
+        spec.target_freq_mhz,
+        design.tech.name
     );
-    let report = match run_flow(&design, &cfg, policy) {
+    let report = match run_flow(&design, &cfg, spec.policy) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("flow failed: {e}");

@@ -536,7 +536,7 @@ impl Plane {
                 self.send(token, &resp);
             }
             RequestKind::Metrics => {
-                let resp = Response::ok(req.id).with_metrics(gnn_mls::api::metrics());
+                let resp = Response::ok(req.id).with_metrics(gnnmls_obs::render());
                 self.send(token, &resp);
             }
             _ => tier.dispatch(self, token, req),

@@ -64,6 +64,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gnn_mls::checkpoint::save_stage_logged;
+use gnn_mls::flow::run_flow;
 use gnn_mls::session::{DesignSession, SessionError, SessionSpec, ValidationError};
 use gnn_mls::AuditMode;
 use gnnmls_faults::{fire, FaultSite};
@@ -517,7 +518,7 @@ impl Shared {
         CACHE_MISSES.inc();
         let mut build_span = gnnmls_obs::span("session_build");
         build_span.field_str("design", &spec.design);
-        match gnn_mls::api::build_session(spec) {
+        match DesignSession::build(spec) {
             Ok(built) => {
                 build_span.field_bool("ok", true);
                 self.record_build_success(key);
@@ -839,13 +840,19 @@ impl Shared {
                 // stray single is just a batch of one.
                 return self.infer_group(vec![job]);
             }
-            RequestKind::RunFlow => match gnn_mls::api::run_flow(&req.spec) {
-                Ok(report) => match serde_json::to_string_pretty(&report) {
-                    Ok(json) => Response::ok(req.id).with_report(json),
+            RequestKind::RunFlow => {
+                let spec = &req.spec;
+                let report = spec
+                    .generate()
+                    .and_then(|design| Ok(run_flow(&design, &spec.flow_config(), spec.policy)?));
+                match report {
+                    Ok(report) => match serde_json::to_string_pretty(&report) {
+                        Ok(json) => Response::ok(req.id).with_report(json),
+                        Err(e) => Response::error(req.id, e),
+                    },
                     Err(e) => Response::error(req.id, e),
-                },
-                Err(e) => Response::error(req.id, e),
-            },
+                }
+            }
             RequestKind::Stats => {
                 let stats = self.server_stats(Some(req.spec.cache_key()));
                 Response::ok(req.id).with_stats(stats)
@@ -853,7 +860,7 @@ impl Shared {
             // Health, Metrics, LoadModel, and Shutdown are answered at
             // the connection; never queued.
             RequestKind::Health => Response::ok(req.id).with_health(self.health()),
-            RequestKind::Metrics => Response::ok(req.id).with_metrics(gnn_mls::api::metrics()),
+            RequestKind::Metrics => Response::ok(req.id).with_metrics(gnnmls_obs::render()),
             RequestKind::LoadModel => self.load_model_response(req),
             RequestKind::Shutdown => Response::ok(req.id),
         };
