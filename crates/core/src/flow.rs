@@ -35,7 +35,7 @@ use gnnmls_sta::{analyze, StaConfig, StaError};
 use crate::checkpoint::{load_stage, save_stage, CheckpointError, ModelCheckpoint};
 use crate::model::{GnnMls, ModelConfig, ModelError};
 use crate::oracle::{label_paths, OracleConfig};
-use crate::paths::extract_path_samples_par;
+use crate::paths::{extract_path_samples_par, PathSample};
 use crate::report::{DegradationSummary, FlowReport, PdnSummary, TrainSummary};
 
 /// Which MLS strategy the flow applies.
@@ -752,8 +752,14 @@ pub(crate) fn learn_decisions_with_model(
 
     let total = baseline.endpoint_count();
     let infer_k = cfg.inference_paths.min(total);
-    let mut infer =
-        extract_path_samples_par(netlist, placement, tech, &baseline, infer_k, cfg.threads);
+    let mut infer = {
+        let mut s = gnnmls_obs::span("paths");
+        let infer =
+            extract_path_samples_par(netlist, placement, tech, &baseline, infer_k, cfg.threads);
+        s.field_u64("samples", infer.len() as u64);
+        s.field_u64("nodes", infer.iter().map(|p| p.len() as u64).sum());
+        infer
+    };
 
     // A pre-trained checkpoint skips the oracle and training entirely;
     // an unusable one falls back to the heuristic policy.
@@ -762,7 +768,7 @@ pub(crate) fn learn_decisions_with_model(
             .map_err(|e| e.to_string())
             .and_then(|mut model| {
                 model.set_threads(cfg.threads);
-                let selected = model.decide(&infer).map_err(|e| e.to_string())?;
+                let selected = decide(&model, &infer).map_err(|e| e.to_string())?;
                 Ok((selected, model))
             });
         return Ok(match restored {
@@ -795,12 +801,39 @@ pub(crate) fn learn_decisions_with_model(
     // Training set = the worst `train_k` paths; evaluation set = the next
     // `eval_k`.
     let mut labeled: Vec<_> = infer.iter().take(train_k + eval_k).cloned().collect();
-    let stats = label_paths(&mut labeled, netlist, &router, &routes, &cfg.oracle)?;
+    let stats = {
+        let mut s = gnnmls_obs::span("oracle");
+        let stats = label_paths(&mut labeled, netlist, &router, &routes, &cfg.oracle)?;
+        s.field_u64("what_ifs", stats.what_ifs as u64);
+        stats
+    };
     let (train_set, eval_set) = labeled.split_at(train_k);
 
     let mut model = GnnMls::new(cfg.model.clone());
     model.set_threads(cfg.threads);
-    let trained = model.pretrain(&infer).and_then(|pretrain_loss| {
+    let pretrained = {
+        let mut s = gnnmls_obs::span("pretrain");
+        let loss = model.pretrain(&infer);
+        if s.is_active() {
+            // DGI trains on the paths with at least two nodes.
+            let epochs = if cfg.model.use_dgi {
+                cfg.model.pretrain_epochs
+            } else {
+                0
+            };
+            let paths = infer.iter().filter(|p| p.len() >= 2).count();
+            s.field_u64("epochs", epochs as u64);
+            s.field_u64("steps", (epochs * paths) as u64);
+            if let Ok(loss) = &loss {
+                s.field_f64("loss", f64::from(*loss));
+            }
+            s.field_u64("retries", u64::from(model.divergence_retries()));
+        }
+        loss
+    };
+    let trained = pretrained.and_then(|pretrain_loss| {
+        let mut s = gnnmls_obs::span("finetune");
+        s.field_u64("samples", train_set.len() as u64);
         let train_metrics = model.finetune(train_set)?;
         Ok((pretrain_loss, train_metrics))
     });
@@ -823,6 +856,8 @@ pub(crate) fn learn_decisions_with_model(
     let eval_metrics = if eval_set.is_empty() {
         Default::default()
     } else {
+        let mut s = gnnmls_obs::span("evaluate");
+        s.field_u64("samples", eval_set.len() as u64);
         model.evaluate(eval_set)?
     };
     if let Some(path) = &cfg.save_model {
@@ -833,7 +868,7 @@ pub(crate) fn learn_decisions_with_model(
     // already labeled, use the exact labels (the model's job is to extend
     // them to unlabeled paths, not to re-predict known answers).
     infer.truncate(infer_k);
-    let mut selected: HashSet<NetId> = model.decide(&infer)?.into_iter().collect();
+    let mut selected: HashSet<NetId> = decide(&model, &infer)?.into_iter().collect();
     for s in &labeled {
         if s.path.slack_ps >= 0.0 {
             continue;
@@ -864,6 +899,14 @@ pub(crate) fn learn_decisions_with_model(
         },
         Some(model),
     ))
+}
+
+/// [`GnnMls::decide`] under a `decide` span.
+fn decide(model: &GnnMls, infer: &[PathSample]) -> Result<Vec<NetId>, ModelError> {
+    let mut s = gnnmls_obs::span("decide");
+    let selected = model.decide(infer)?;
+    s.field_u64("selected", selected.len() as u64);
+    Ok(selected)
 }
 
 /// Sizes the PDN per tier to the IR budget; returns the memory-die

@@ -203,7 +203,9 @@ impl GnnMls {
         self.threads = threads;
     }
 
-    /// Fits the feature scaler (idempotent; called by training).
+    /// Fits the feature scaler (idempotent; called by training). Without
+    /// a single feature row there is nothing to fit, and the model stays
+    /// untrained.
     pub fn fit_scaler(&mut self, samples: &[PathSample]) {
         if self.scaler.is_some() {
             return;
@@ -212,7 +214,9 @@ impl GnnMls {
             .iter()
             .flat_map(|s| s.features.iter().copied())
             .collect();
-        self.scaler = Some(FeatureScaler::fit(&rows));
+        if !rows.is_empty() {
+            self.scaler = Some(FeatureScaler::fit(&rows));
+        }
     }
 
     fn features_of(&self, sample: &PathSample) -> Result<Tensor, ModelError> {
@@ -269,7 +273,7 @@ impl GnnMls {
         let x = self.features_of(sample)?;
         let mut tape = Tape::new();
         let pv = self.enc_params.bind(&mut tape);
-        let xv = tape.leaf(x);
+        let xv = tape.constant(x);
         let h = self.encode(&mut tape, &pv, xv, sample.len());
         Ok(tape.value(h).clone())
     }
@@ -325,14 +329,14 @@ impl GnnMls {
                 let xc = corrupt_features(&x, &mut self.rng);
                 let mut tape = Tape::new();
                 let pv = self.enc_params.bind(&mut tape);
-                let xv = tape.leaf(x);
-                let cv = tape.leaf(xc);
+                let xv = tape.constant(x);
+                let cv = tape.constant(xc);
                 let h = self.encode(&mut tape, &pv, xv, s.len());
                 let hc = self.encode(&mut tape, &pv, cv, s.len());
                 let loss = dgi_loss(&mut tape, h, hc);
                 sum += tape.value(loss).get(0, 0);
-                let grads = tape.backward(loss);
-                let g = pv.collect_grads(&grads, &self.enc_params);
+                let mut grads = tape.backward(loss);
+                let g = pv.collect_grads(&mut grads, &self.enc_params);
                 adam.step(&mut self.enc_params, &g);
             }
             if gnnmls_faults::fire(gnnmls_faults::FaultSite::NanGradient) {
@@ -367,7 +371,7 @@ impl GnnMls {
     }
 
     /// Supervised fine-tuning on labeled samples; returns final-epoch
-    /// training metrics.
+    /// training metrics (empty when no sample has a node).
     ///
     /// Divergent epochs roll back and retry at a halved learning rate,
     /// exactly as in [`GnnMls::pretrain`].
@@ -382,6 +386,9 @@ impl GnnMls {
             return Err(ModelError::MissingLabels);
         }
         self.fit_scaler(samples);
+        if self.scaler.is_none() {
+            return Ok(Classification::default());
+        }
         let mut head_lr = self.cfg.lr;
         let mut enc_lr = self.cfg.lr * 0.3;
         let mut head_adam = Adam::new(head_lr);
@@ -434,10 +441,10 @@ impl GnnMls {
                 let targets: Vec<f32> = labels.iter().map(|&b| f32::from(b)).collect();
                 let mut tape = Tape::new();
                 let (h, pv_enc) = match &frozen {
-                    Some(embeddings) => (tape.leaf(embeddings[i].clone()), None),
+                    Some(embeddings) => (tape.constant(embeddings[i].clone()), None),
                     None => {
                         let pv_enc = self.enc_params.bind(&mut tape);
-                        let xv = tape.leaf(self.features_of(s)?);
+                        let xv = tape.constant(self.features_of(s)?);
                         (self.encode(&mut tape, &pv_enc, xv, s.len()), Some(pv_enc))
                     }
                 };
@@ -448,11 +455,11 @@ impl GnnMls {
                 if epoch + 1 == self.cfg.finetune_epochs {
                     metrics = metrics.merge(&Classification::from_logits(tape.value(z), labels));
                 }
-                let grads = tape.backward(loss);
-                let gh = pv_head.collect_grads(&grads, &self.head_params);
+                let mut grads = tape.backward(loss);
+                let gh = pv_head.collect_grads(&mut grads, &self.head_params);
                 head_adam.step(&mut self.head_params, &gh);
                 if let Some(pv_enc) = pv_enc {
-                    let ge = pv_enc.collect_grads(&grads, &self.enc_params);
+                    let ge = pv_enc.collect_grads(&mut grads, &self.enc_params);
                     enc_adam.step(&mut self.enc_params, &ge);
                 }
             }
@@ -502,7 +509,7 @@ impl GnnMls {
         let h = self.embed(sample)?;
         let mut tape = Tape::new();
         let pv_head = self.head_params.bind(&mut tape);
-        let hv = tape.leaf(h);
+        let hv = tape.constant(h);
         let z = self.head.forward(&mut tape, &pv_head, hv);
         Ok(tape
             .value(z)
@@ -812,6 +819,34 @@ mod tests {
     }
 
     #[test]
+    fn training_on_no_nodes_is_a_no_op_not_a_panic() {
+        let mut nodeless = synthetic_samples(3, 13);
+        for s in &mut nodeless {
+            s.features.clear();
+            s.nets.clear();
+            s.eligible.clear();
+            s.labels = Some(Vec::new());
+        }
+        for samples in [&[][..], &nodeless[..]] {
+            let mut model = GnnMls::new(ModelConfig {
+                pretrain_epochs: 1,
+                finetune_epochs: 1,
+                ..ModelConfig::default()
+            });
+            assert_eq!(model.pretrain(samples), Ok(0.0));
+            assert_eq!(model.finetune(samples), Ok(Classification::default()));
+            // Nothing was fit, so the model is still untrained.
+            assert_eq!(model.decide(samples), Err(ModelError::NotTrained));
+            assert_eq!(model.evaluate(samples), Err(ModelError::NotTrained));
+            assert_eq!(model.predict_paths(samples), Err(ModelError::NotTrained));
+            assert_eq!(
+                model.predict_path(&nodeless[0]),
+                Err(ModelError::NotTrained)
+            );
+        }
+    }
+
+    #[test]
     fn missing_labels_are_a_typed_error() {
         let mut samples = synthetic_samples(4, 7);
         samples[2].labels = None;
@@ -896,8 +931,8 @@ mod tests {
                 if epoch + 1 == model.cfg.finetune_epochs {
                     metrics = metrics.merge(&Classification::from_logits(tape.value(z), labels));
                 }
-                let grads = tape.backward(loss);
-                let gh = pv_head.collect_grads(&grads, &model.head_params);
+                let mut grads = tape.backward(loss);
+                let gh = pv_head.collect_grads(&mut grads, &model.head_params);
                 head_adam.step(&mut model.head_params, &gh);
             }
         }

@@ -77,7 +77,6 @@ pub struct MultiHeadAttention {
     wv: Linear,
     wo: Linear,
     heads: usize,
-    head_dim: usize,
 }
 
 impl MultiHeadAttention {
@@ -94,7 +93,6 @@ impl MultiHeadAttention {
             wv: Linear::new(params, d_model, d_model),
             wo: Linear::new(params, d_model, d_model),
             heads,
-            head_dim: d_model / heads,
         }
     }
 
@@ -103,20 +101,7 @@ impl MultiHeadAttention {
         let q = self.wq.forward(tape, pv, x);
         let k = self.wk.forward(tape, pv, x);
         let v = self.wv.forward(tape, pv, x);
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut outs = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let s = h * self.head_dim;
-            let qh = tape.slice_cols(q, s, self.head_dim);
-            let kh = tape.slice_cols(k, s, self.head_dim);
-            let vh = tape.slice_cols(v, s, self.head_dim);
-            let kt = tape.transpose(kh);
-            let scores = tape.matmul(qh, kt);
-            let scores = tape.scale(scores, scale);
-            let attn = tape.softmax_rows(scores);
-            outs.push(tape.matmul(attn, vh));
-        }
-        let cat = tape.concat_cols(&outs);
+        let cat = tape.attention(q, k, v, self.heads);
         self.wo.forward(tape, pv, cat)
     }
 }
@@ -178,10 +163,13 @@ impl TransformerBlock {
 
 /// Sinusoidal positional encoding, `n × d` (Vaswani et al., 2017).
 pub fn positional_encoding(n: usize, d: usize) -> Tensor {
+    let wavelengths: Vec<f32> = (0..d)
+        .map(|i| 10_000f32.powf((2 * (i / 2)) as f32 / d as f32))
+        .collect();
     let mut pe = Tensor::zeros(n, d);
     for pos in 0..n {
-        for i in 0..d {
-            let angle = pos as f32 / 10_000f32.powf((2 * (i / 2)) as f32 / d as f32);
+        for (i, &w) in wavelengths.iter().enumerate() {
+            let angle = pos as f32 / w;
             pe.set(pos, i, if i % 2 == 0 { angle.sin() } else { angle.cos() });
         }
     }
@@ -232,7 +220,7 @@ impl TransformerEncoder {
         let mut h = self.embed.forward(tape, pv, x);
         if self.use_positional {
             let n = tape.value(h).rows();
-            let pe = tape.leaf(positional_encoding(n, self.d_model));
+            let pe = tape.constant(positional_encoding(n, self.d_model));
             h = tape.add(h, pe);
         }
         for b in &self.blocks {
@@ -278,7 +266,7 @@ impl GcnEncoder {
     ///
     /// Each round: `h ← GELU(LN(A·h·W₁ + h·W₂)) + h`.
     pub fn forward(&self, tape: &mut Tape, pv: &ParamVars, x: Var, adj: &Tensor) -> Var {
-        let a = tape.leaf(adj.clone());
+        let a = tape.constant(adj.clone());
         let mut h = self.embed.forward(tape, pv, x);
         for (w1, w2, ln) in &self.layers {
             let agg = tape.matmul(a, h);
@@ -343,8 +331,8 @@ mod tests {
         let z = head.forward(&mut tape, &pv, h);
         assert_eq!(tape.value(z).shape(), (6, 1));
         let loss = tape.bce_with_logits(z, &[1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
-        let grads = tape.backward(loss);
-        let g = pv.collect_grads(&grads, &params);
+        let mut grads = tape.backward(loss);
+        let g = pv.collect_grads(&mut grads, &params);
         let live = g.iter().filter(|t| t.max_abs() > 0.0).count();
         assert!(
             live as f64 > 0.9 * g.len() as f64,
@@ -372,8 +360,8 @@ mod tests {
             let z = head.forward(&mut tape, &pv, h);
             let loss = tape.bce_with_logits(z, &targets);
             last = tape.value(loss).get(0, 0);
-            let grads = tape.backward(loss);
-            let g = pv.collect_grads(&grads, &params);
+            let mut grads = tape.backward(loss);
+            let g = pv.collect_grads(&mut grads, &params);
             adam.step(&mut params, &g);
             let _ = step;
         }
@@ -435,6 +423,96 @@ mod tests {
         let xv2 = tape2.leaf(x);
         let h2 = enc.forward(&mut tape2, &pv2, xv2, &Tensor::zeros(4, 4));
         assert_ne!(tape.value(h).row(0), tape2.value(h2).row(0));
+    }
+
+    /// The per-head chain of public ops that [`Tape::attention`] fuses.
+    fn attention_chain(tape: &mut Tape, q: Var, k: Var, v: Var, heads: usize) -> Var {
+        let hd = tape.value(q).cols() / heads;
+        let scale = 1.0 / (hd as f32).sqrt();
+        let outs: Vec<Var> = (0..heads)
+            .map(|h| {
+                let s = h * hd;
+                let qh = tape.slice_cols(q, s, hd);
+                let kh = tape.slice_cols(k, s, hd);
+                let vh = tape.slice_cols(v, s, hd);
+                let kt = tape.transpose(kh);
+                let scores = tape.matmul(qh, kt);
+                let scores = tape.scale(scores, scale);
+                let attn = tape.softmax_rows(scores);
+                tape.matmul(attn, vh)
+            })
+            .collect();
+        tape.concat_cols(&outs)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Random `n × d` entries with exact `+0.0` and `-0.0` mixed in.
+    fn with_zeros(rng: &mut StdRng, n: usize, d: usize) -> Tensor {
+        let mut t = rand_x(rng, n, d);
+        for v in t.as_mut_slice() {
+            match rng.gen_range(0..8) {
+                0 => *v = 0.0,
+                1 => *v = -0.0,
+                _ => {}
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn fused_attention_matches_the_per_head_chain_bit_for_bit() {
+        let d = 12;
+        for heads in [1, 3] {
+            for n in [0, 1, 2, 7, 20] {
+                let case = format!("heads={heads} n={n}");
+                let mut rng = StdRng::seed_from_u64((heads * 100 + n) as u64);
+                let inputs: Vec<Tensor> = (0..4).map(|_| with_zeros(&mut rng, n, d)).collect();
+
+                // q, k, v as leaves: forward values and their gradients.
+                let leaves = |fused: bool| {
+                    let mut tape = Tape::new();
+                    let [q, k, v, w] = [0, 1, 2, 3].map(|i| tape.leaf(inputs[i].clone()));
+                    let a = if fused {
+                        tape.attention(q, k, v, heads)
+                    } else {
+                        attention_chain(&mut tape, q, k, v, heads)
+                    };
+                    let m = tape.mul(a, w);
+                    let loss = tape.sum_all(m);
+                    let grads = tape.backward(loss);
+                    let g = [q, k, v].map(|x| bits(grads.get(x).expect("leaf gradient")));
+                    (bits(tape.value(a)), g)
+                };
+                assert_eq!(leaves(true), leaves(false), "{case}: q, k, v leaves");
+
+                // Inside a block: the projection weights' gradients.
+                let mut params = Params::new(n as u64);
+                let mha = MultiHeadAttention::new(&mut params, d, heads);
+                let weights = |fused: bool| {
+                    let mut tape = Tape::new();
+                    let pv = params.bind(&mut tape);
+                    let x = tape.constant(inputs[0].clone());
+                    let w = tape.constant(inputs[3].clone());
+                    let [q, k, v] =
+                        [&mha.wq, &mha.wk, &mha.wv].map(|l| l.forward(&mut tape, &pv, x));
+                    let a = if fused {
+                        tape.attention(q, k, v, heads)
+                    } else {
+                        attention_chain(&mut tape, q, k, v, heads)
+                    };
+                    let y = mha.wo.forward(&mut tape, &pv, a);
+                    let m = tape.mul(y, w);
+                    let loss = tape.sum_all(m);
+                    let mut grads = tape.backward(loss);
+                    let g = pv.collect_grads(&mut grads, &params);
+                    (bits(tape.value(y)), g.iter().map(bits).collect::<Vec<_>>())
+                };
+                assert_eq!(weights(true), weights(false), "{case}: projection weights");
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,18 @@
 //! - [`metrics`] — accuracy / precision / recall / F1 for the fine-tuned
 //!   classifier.
 //!
+//! # Kernel contract
+//!
+//! Training is order-dependent and its results are compared bit for bit,
+//! so every matrix product — [`Tensor::matmul`], the products inside
+//! [`Tape::backward`] and [`Tape::attention`] — computes each output
+//! element the same way: summed over `k` in ascending order, starting
+//! from `+0.0`, skipping the terms whose left operand is zero (so a zero
+//! times `±inf` or NaN on the right never enters the sum), with a
+//! separate multiply and add and no fused multiply-add. The kernels only
+//! choose how many elements run side by side, never the order within
+//! one, so any SIMD width gives the bits of the naive triple loop.
+//!
 //! # Example
 //!
 //! ```

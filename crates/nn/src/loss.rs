@@ -54,14 +54,17 @@ pub fn corrupt_features(x: &Tensor, rng: &mut StdRng) -> Tensor {
     let n = x.rows();
     let mut perm: Vec<usize> = (0..n).collect();
     perm.shuffle(rng);
-    let rows: Vec<Vec<f32>> = perm.iter().map(|&r| x.row(r).to_vec()).collect();
-    Tensor::from_rows(&rows)
+    let mut data = Vec::with_capacity(x.as_slice().len());
+    for &r in &perm {
+        data.extend_from_slice(x.row(r));
+    }
+    Tensor::from_flat(n, x.cols(), data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::TransformerEncoder;
+    use crate::layers::{GcnEncoder, TransformerEncoder};
     use crate::optim::{Adam, Params};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -94,8 +97,8 @@ mod tests {
             let loss = dgi_loss(&mut tape, h, hc);
             last = tape.value(loss).get(0, 0);
             first.get_or_insert(last);
-            let grads = tape.backward(loss);
-            let g = pv.collect_grads(&grads, &params);
+            let mut grads = tape.backward(loss);
+            let g = pv.collect_grads(&mut grads, &params);
             adam.step(&mut params, &g);
         }
         let first = first.unwrap();
@@ -104,6 +107,64 @@ mod tests {
             "DGI training should reduce the loss: {first} -> {last}"
         );
         assert!(last.is_finite());
+    }
+
+    /// One DGI step on a 7-node chain: the loss, the gradients and the
+    /// parameters after one Adam update, as bits. `lend` binds the
+    /// parameters by reference and the inputs as constants; otherwise
+    /// all of them are copied into the tape as leaves.
+    fn dgi_step(gcn: bool, lend: bool) -> (u32, Vec<u32>, Vec<u32>) {
+        let n = 7;
+        // Both encoders share the store; the unused one gets zero
+        // gradients either way.
+        let mut params = Params::new(13);
+        let transformer = TransformerEncoder::new(&mut params, 5, 12, 3, 2);
+        let graph = GcnEncoder::new(&mut params, 5, 12, 2);
+        let mut adj = Tensor::zeros(n, n);
+        for i in 0..n - 1 {
+            adj.set(i, i + 1, 0.5);
+            adj.set(i + 1, i, 0.5);
+        }
+        let mut rng = StdRng::seed_from_u64(8);
+        let x = Tensor::from_flat(n, 5, (0..n * 5).map(|_| rng.gen_range(-1.0..1.0)).collect());
+        let xc = corrupt_features(&x, &mut rng);
+
+        let mut tape = Tape::new();
+        let (pv, xv, cv) = if lend {
+            let pv = params.bind(&mut tape);
+            (pv, tape.constant(x), tape.constant(xc))
+        } else {
+            let pv = params.bind_cloned(&mut tape);
+            (pv, tape.leaf(x), tape.leaf(xc))
+        };
+        let mut encode = |x| {
+            if gcn {
+                graph.forward(&mut tape, &pv, x, &adj)
+            } else {
+                transformer.forward(&mut tape, &pv, x)
+            }
+        };
+        let (h, hc) = (encode(xv), encode(cv));
+        let loss = dgi_loss(&mut tape, h, hc);
+        let loss_bits = tape.value(loss).get(0, 0).to_bits();
+        let mut grads = tape.backward(loss);
+        let g = pv.collect_grads(&mut grads, &params);
+        Adam::new(0.01).step(&mut params, &g);
+        let bits = |ts: &[Tensor]| -> Vec<u32> {
+            ts.iter()
+                .flat_map(|t| t.as_slice().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        (loss_bits, bits(&g), bits(params.tensors()))
+    }
+
+    #[test]
+    fn a_dgi_step_with_lent_parameters_matches_cloned_leaves_bit_for_bit() {
+        for gcn in [false, true] {
+            let lent = dgi_step(gcn, true);
+            assert!(lent.1.iter().any(|&b| b != 0), "gradients flow");
+            assert_eq!(lent, dgi_step(gcn, false), "gcn={gcn}");
+        }
     }
 
     #[test]

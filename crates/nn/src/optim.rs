@@ -1,8 +1,8 @@
 //! Parameter store and the Adam optimizer.
 //!
 //! Parameters live outside any tape in a [`Params`] store. Each forward
-//! pass binds them into the tape ([`Params::bind`]), and after backward
-//! the per-parameter gradients are gathered back by id.
+//! pass lends them to the tape ([`Params::bind`]), and after backward
+//! the per-parameter gradients are moved back out by id.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -109,8 +109,17 @@ impl Params {
         Ok(())
     }
 
-    /// Binds every parameter into a tape as a leaf; returns the mapping.
-    pub fn bind(&self, tape: &mut Tape) -> ParamVars {
+    /// Lends every parameter to a tape as a leaf, without copying;
+    /// returns the mapping.
+    pub fn bind<'a>(&'a self, tape: &mut Tape<'a>) -> ParamVars {
+        ParamVars {
+            vars: self.tensors.iter().map(|t| tape.leaf_ref(t)).collect(),
+        }
+    }
+
+    /// [`Params::bind`] by copying every parameter into the tape.
+    #[cfg(test)]
+    pub(crate) fn bind_cloned(&self, tape: &mut Tape) -> ParamVars {
         ParamVars {
             vars: self.tensors.iter().map(|t| tape.leaf(t.clone())).collect(),
         }
@@ -130,14 +139,14 @@ impl ParamVars {
         self.vars[id.0]
     }
 
-    /// Gathers per-parameter gradients after backward (zero tensors for
-    /// parameters the loss never touched).
-    pub fn collect_grads(&self, grads: &Gradients, params: &Params) -> Vec<Tensor> {
+    /// Moves per-parameter gradients out of `grads` after backward (zero
+    /// tensors for parameters the loss never touched).
+    pub fn collect_grads(&self, grads: &mut Gradients, params: &Params) -> Vec<Tensor> {
         self.vars
             .iter()
             .enumerate()
             .map(|(i, &v)| {
-                grads.get(v).cloned().unwrap_or_else(|| {
+                grads.take(v).unwrap_or_else(|| {
                     let (r, c) = params.get(ParamId(i)).shape();
                     Tensor::zeros(r, c)
                 })
@@ -249,8 +258,8 @@ mod tests {
         let y = tape.matmul(x, pv.var(a));
         let y = tape.add_row_broadcast(y, pv.var(b));
         let loss = tape.bce_with_logits(y, &[1.0, 0.0]);
-        let grads = tape.backward(loss);
-        let g = pv.collect_grads(&grads, &params);
+        let mut grads = tape.backward(loss);
+        let g = pv.collect_grads(&mut grads, &params);
         assert_eq!(g.len(), 2);
         assert!(g[0].max_abs() > 0.0, "weight gradient flows");
         assert!(g[1].max_abs() > 0.0, "bias gradient flows");
@@ -267,8 +276,8 @@ mod tests {
         let x = tape.leaf(Tensor::from_rows(&[vec![1.0, 2.0]]));
         let z = tape.matmul(x, pv.var(used));
         let loss = tape.bce_with_logits(z, &[1.0]);
-        let grads = tape.backward(loss);
-        let g = pv.collect_grads(&grads, &params);
+        let mut grads = tape.backward(loss);
+        let g = pv.collect_grads(&mut grads, &params);
         assert!(g[used.0].max_abs() > 0.0);
         assert_eq!(g[unused.0].max_abs(), 0.0);
     }

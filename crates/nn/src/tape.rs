@@ -4,8 +4,16 @@
 //! forward value; [`Tape::backward`] walks the tape once in reverse,
 //! accumulating gradients. Each op's backward rule is verified against
 //! central-difference numerical gradients in this module's tests.
+//!
+//! A node carries a gradient only if a [`Tape::leaf`] or [`Tape::leaf_ref`]
+//! feeds it: inputs recorded with [`Tape::constant`] get none, and
+//! backward computes nothing on their behalf.
 
-use crate::tensor::{gelu_grad_tanh, gelu_tanh, sigmoid, Tensor};
+use std::borrow::Cow;
+
+use crate::tensor::{
+    gelu_grad_tanh, gelu_tanh, gemm, sigmoid, softmax_in_place, transpose_into, Strided, Tensor,
+};
 
 /// Handle to a tape node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,12 +61,22 @@ enum Op {
         logits: usize,
         targets: Vec<f32>,
     },
+    /// Keeps every head's attention probabilities, `heads × n × n`.
+    Attention {
+        q: usize,
+        k: usize,
+        v: usize,
+        heads: usize,
+        probs: Vec<f32>,
+    },
 }
 
 #[derive(Debug)]
-struct Node {
+struct Node<'a> {
     op: Op,
-    value: Tensor,
+    value: Cow<'a, Tensor>,
+    /// Whether a gradient flows into this node.
+    grad: bool,
 }
 
 /// Accumulated gradients per tape node.
@@ -70,15 +88,21 @@ impl Gradients {
     pub fn get(&self, v: Var) -> Option<&Tensor> {
         self.0[v.0].as_ref()
     }
+
+    /// Moves a var's gradient out, leaving `None` behind.
+    pub fn take(&mut self, v: Var) -> Option<Tensor> {
+        self.0[v.0].take()
+    }
 }
 
-/// The autograd tape. Create one per forward pass.
+/// The autograd tape. Create one per forward pass; it may borrow its
+/// leaves (see [`Tape::leaf_ref`]) for its lifetime `'a`.
 #[derive(Debug, Default)]
-pub struct Tape {
-    nodes: Vec<Node>,
+pub struct Tape<'a> {
+    nodes: Vec<Node<'a>>,
 }
 
-impl Tape {
+impl<'a> Tape<'a> {
     /// An empty tape.
     pub fn new() -> Self {
         Self::default()
@@ -100,52 +124,84 @@ impl Tape {
         &self.nodes[v.0].value
     }
 
-    fn push(&mut self, op: Op, value: Tensor) -> Var {
-        self.nodes.push(Node { op, value });
+    fn grad(&self, v: Var) -> bool {
+        self.nodes[v.0].grad
+    }
+
+    fn push(&mut self, op: Op, value: Tensor, grad: bool) -> Var {
+        self.push_cow(op, Cow::Owned(value), grad)
+    }
+
+    fn push_cow(&mut self, op: Op, value: Cow<'a, Tensor>, grad: bool) -> Var {
+        self.nodes.push(Node { op, value, grad });
         Var(self.nodes.len() - 1)
     }
 
-    /// Records an input (leaf) tensor.
+    /// Records an input (leaf) tensor that receives a gradient.
     pub fn leaf(&mut self, t: Tensor) -> Var {
-        self.push(Op::Leaf, t)
+        self.push(Op::Leaf, t, true)
+    }
+
+    /// Records a borrowed leaf that receives a gradient, without copying
+    /// it ([`crate::Params::bind`] lends parameters this way).
+    pub fn leaf_ref(&mut self, t: &'a Tensor) -> Var {
+        self.push_cow(Op::Leaf, Cow::Borrowed(t), true)
+    }
+
+    /// Records an input that receives no gradient (features, positional
+    /// encodings, adjacency).
+    pub fn constant(&mut self, t: Tensor) -> Var {
+        self.push(Op::Leaf, t, false)
     }
 
     /// `a · b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).matmul(self.value(b));
-        self.push(Op::MatMul(a.0, b.0), v)
+        let grad = self.grad(a) || self.grad(b);
+        self.push(Op::MatMul(a.0, b.0), v, grad)
     }
 
     /// `a + b` (same shape).
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).add(self.value(b));
-        self.push(Op::Add(a.0, b.0), v)
+        let grad = self.grad(a) || self.grad(b);
+        self.push(Op::Add(a.0, b.0), v, grad)
     }
 
     /// `a + bias` with `bias: 1 × cols` broadcast over rows.
     pub fn add_row_broadcast(&mut self, a: Var, bias: Var) -> Var {
         let v = self.value(a).add_row_broadcast(self.value(bias));
-        self.push(Op::AddRowBroadcast(a.0, bias.0), v)
+        let grad = self.grad(a) || self.grad(bias);
+        self.push(Op::AddRowBroadcast(a.0, bias.0), v, grad)
     }
 
     /// Elementwise `a ⊙ b`.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).mul(self.value(b));
-        self.push(Op::Mul(a.0, b.0), v)
+        let grad = self.grad(a) || self.grad(b);
+        self.push(Op::Mul(a.0, b.0), v, grad)
     }
 
     /// `s · a`.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
         let v = self.value(a).scale(s);
-        self.push(Op::Scale(a.0, s), v)
+        self.push(Op::Scale(a.0, s), v, self.grad(a))
     }
 
     /// Elementwise GELU.
     pub fn gelu(&mut self, a: Var) -> Var {
         let xv = self.value(a);
-        let (ys, tanh) = xv.as_slice().iter().map(|&x| gelu_tanh(x)).unzip();
-        let v = Tensor::from_flat(xv.rows(), xv.cols(), ys);
-        self.push(Op::Gelu { x: a.0, tanh }, v)
+        let mut v = Tensor::zeros(xv.rows(), xv.cols());
+        let mut tanh = vec![0.0; xv.as_slice().len()];
+        for ((y, t), &x) in v
+            .as_mut_slice()
+            .iter_mut()
+            .zip(&mut tanh)
+            .zip(xv.as_slice())
+        {
+            (*y, *t) = gelu_tanh(x);
+        }
+        self.push(Op::Gelu { x: a.0, tanh }, v, self.grad(a))
     }
 
     /// Elementwise sigmoid.
@@ -154,13 +210,13 @@ impl Tape {
         for x in v.as_mut_slice() {
             *x = sigmoid(*x);
         }
-        self.push(Op::Sigmoid(a.0), v)
+        self.push(Op::Sigmoid(a.0), v, self.grad(a))
     }
 
     /// Row-wise softmax.
     pub fn softmax_rows(&mut self, a: Var) -> Var {
         let v = self.value(a).softmax_rows();
-        self.push(Op::SoftmaxRows(a.0), v)
+        self.push(Op::SoftmaxRows(a.0), v, self.grad(a))
     }
 
     /// Row-wise layer normalization with learned `gamma`/`beta`
@@ -169,8 +225,8 @@ impl Tape {
         let eps = 1e-5_f32;
         let xv = self.value(x);
         let (rows, cols) = xv.shape();
-        let g = self.value(gamma).as_slice().to_vec();
-        let b = self.value(beta).as_slice().to_vec();
+        let g = self.value(gamma).as_slice();
+        let b = self.value(beta).as_slice();
         let mut out = Tensor::zeros(rows, cols);
         for r in 0..rows {
             let row = xv.row(r);
@@ -181,6 +237,7 @@ impl Tape {
                 out.set(r, c, g[c] * (row[c] - mean) * inv + b[c]);
             }
         }
+        let grad = self.grad(x) || self.grad(gamma) || self.grad(beta);
         self.push(
             Op::LayerNormRows {
                 x: x.0,
@@ -189,19 +246,20 @@ impl Tape {
                 eps,
             },
             out,
+            grad,
         )
     }
 
     /// Transpose.
     pub fn transpose(&mut self, a: Var) -> Var {
         let v = self.value(a).transpose();
-        self.push(Op::Transpose(a.0), v)
+        self.push(Op::Transpose(a.0), v, self.grad(a))
     }
 
     /// Mean over rows → `1 × cols`.
     pub fn mean_rows(&mut self, a: Var) -> Var {
         let v = self.value(a).mean_rows();
-        self.push(Op::MeanRows(a.0), v)
+        self.push(Op::MeanRows(a.0), v, self.grad(a))
     }
 
     /// Column block `[start, start + len)`.
@@ -214,6 +272,7 @@ impl Tape {
                 len,
             },
             v,
+            self.grad(a),
         )
     }
 
@@ -231,20 +290,24 @@ impl Tape {
         for &p in parts {
             let t = self.value(p);
             assert_eq!(t.rows(), rows, "concat row mismatch");
+            let w = t.cols();
             for r in 0..rows {
-                for c in 0..t.cols() {
-                    out.set(r, off + c, t.get(r, c));
-                }
+                out.as_mut_slice()[r * total + off..r * total + off + w].copy_from_slice(t.row(r));
             }
-            off += t.cols();
+            off += w;
         }
-        self.push(Op::ConcatCols(parts.iter().map(|p| p.0).collect()), out)
+        let grad = parts.iter().any(|&p| self.grad(p));
+        self.push(
+            Op::ConcatCols(parts.iter().map(|p| p.0).collect()),
+            out,
+            grad,
+        )
     }
 
     /// Sum of all elements → `1 × 1`.
     pub fn sum_all(&mut self, a: Var) -> Var {
         let v = Tensor::from_flat(1, 1, vec![self.value(a).sum()]);
-        self.push(Op::SumAll(a.0), v)
+        self.push(Op::SumAll(a.0), v, self.grad(a))
     }
 
     /// Mean binary cross-entropy with logits against constant targets →
@@ -270,6 +333,69 @@ impl Tape {
                 targets: targets.to_vec(),
             },
             Tensor::from_flat(1, 1, vec![loss]),
+            self.grad(logits),
+        )
+    }
+
+    /// Multi-head scaled dot-product attention of `q` over `k`, `v` (all
+    /// `n × d`): head `h` uses columns `[h·d/heads, (h+1)·d/heads)` of
+    /// each, and the heads' outputs come back side by side (`n × d`).
+    ///
+    /// One op, with the same bits — forward values and the gradients of
+    /// `q`, `k` and `v` — as the per-head chain of public ops: slice each
+    /// of `q`, `k`, `v`, transpose the key block, matmul, scale by
+    /// `1/√(d/heads)`, softmax, matmul by the value block, concatenate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ or `heads` does not divide `d`.
+    pub fn attention(&mut self, q: Var, k: Var, v: Var, heads: usize) -> Var {
+        let (qv, kv, vv) = (self.value(q), self.value(k), self.value(v));
+        let (n, d) = qv.shape();
+        assert!(
+            kv.shape() == (n, d) && vv.shape() == (n, d),
+            "attention q, k, v shapes differ"
+        );
+        assert!(heads > 0 && d % heads == 0, "d must be divisible by heads");
+        let hd = d / heads;
+        let scale = 1.0 / (hd as f32).sqrt();
+        let mut out = Tensor::zeros(n, d);
+        let mut probs = vec![0.0; heads * n * n];
+        let mut kt = vec![0.0; hd * n];
+        // An empty sequence has nothing to attend to.
+        for h in (0..heads).filter(|_| n > 0) {
+            let s = h * hd;
+            let p = &mut probs[h * n * n..(h + 1) * n * n];
+            transpose_into(&kv.as_slice()[s..], (n, hd), d, &mut kt, n);
+            let qh = Strided::rows(&qv.as_slice()[s..], d);
+            gemm((n, n, hd), qh, Strided::rows(&kt, n), p, n, false);
+            for x in p.iter_mut() {
+                *x *= scale;
+            }
+            for r in 0..n {
+                softmax_in_place(&mut p[r * n..(r + 1) * n]);
+            }
+            let vh = Strided::rows(&vv.as_slice()[s..], d);
+            gemm(
+                (n, hd, n),
+                Strided::rows(p, n),
+                vh,
+                &mut out.as_mut_slice()[s..],
+                d,
+                false,
+            );
+        }
+        let grad = self.grad(q) || self.grad(k) || self.grad(v);
+        self.push(
+            Op::Attention {
+                q: q.0,
+                k: k.0,
+                v: v.0,
+                heads,
+                probs,
+            },
+            out,
+            grad,
         )
     }
 
@@ -281,43 +407,66 @@ impl Tape {
     pub fn backward(&self, loss: Var) -> Gradients {
         assert_eq!(self.value(loss).shape(), (1, 1), "loss must be scalar");
         let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
+        // `bᵀ` of every matmul's right operand, built once per backward:
+        // a weight shared by several products (the real and the
+        // corrupted DGI pass) is transposed once.
+        let mut transposed: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
         grads[loss.0] = Some(Tensor::from_flat(1, 1, vec![1.0]));
 
         for i in (0..=loss.0).rev() {
             let Some(gy) = grads[i].take() else {
                 continue;
             };
+            let wants = |j: usize| self.nodes[j].grad;
             match &self.nodes[i].op {
                 Op::Leaf => {
                     grads[i] = Some(gy);
                     continue;
                 }
                 Op::MatMul(a, b) => {
-                    let av = &self.nodes[*a].value;
-                    let bv = &self.nodes[*b].value;
-                    accum(&mut grads, *a, gy.matmul(&bv.transpose()));
-                    accum(&mut grads, *b, av.transpose().matmul(&gy));
+                    let (av, bv) = (&self.nodes[*a].value, &self.nodes[*b].value);
+                    if wants(*a) {
+                        let bt = transposed[*b].get_or_insert_with(|| bv.transpose());
+                        accum_product(&mut grads, *a, av.shape(), |g, add| {
+                            gy.matmul_into(bt, g, add)
+                        });
+                    }
+                    if wants(*b) {
+                        accum_product(&mut grads, *b, bv.shape(), |g, add| {
+                            av.transpose_matmul_into(&gy, g, add)
+                        });
+                    }
                 }
                 Op::Add(a, b) => {
-                    accum(&mut grads, *a, gy.clone());
-                    accum(&mut grads, *b, gy);
+                    if wants(*a) {
+                        accum_ref(&mut grads, *a, &gy);
+                    }
+                    if wants(*b) {
+                        accum(&mut grads, *b, gy);
+                    }
                 }
                 Op::AddRowBroadcast(a, bias) => {
-                    // Bias gradient: column sums.
-                    let mut gb = Tensor::zeros(1, gy.cols());
-                    for r in 0..gy.rows() {
-                        for c in 0..gy.cols() {
-                            gb.set(0, c, gb.get(0, c) + gy.get(r, c));
+                    if wants(*bias) {
+                        // Bias gradient: column sums.
+                        let mut gb = Tensor::zeros(1, gy.cols());
+                        for r in 0..gy.rows() {
+                            for (s, &g) in gb.as_mut_slice().iter_mut().zip(gy.row(r)) {
+                                *s += g;
+                            }
                         }
+                        accum(&mut grads, *bias, gb);
                     }
-                    accum(&mut grads, *bias, gb);
-                    accum(&mut grads, *a, gy);
+                    if wants(*a) {
+                        accum(&mut grads, *a, gy);
+                    }
                 }
                 Op::Mul(a, b) => {
-                    let av = self.nodes[*a].value.clone();
-                    let bv = self.nodes[*b].value.clone();
-                    accum(&mut grads, *a, gy.mul(&bv));
-                    accum(&mut grads, *b, gy.mul(&av));
+                    if wants(*a) {
+                        accum(&mut grads, *a, gy.mul(&self.nodes[*b].value));
+                    }
+                    if wants(*b) {
+                        accum(&mut grads, *b, gy.mul(&self.nodes[*a].value));
+                    }
                 }
                 Op::Scale(a, s) => accum(&mut grads, *a, gy.scale(*s)),
                 Op::Gelu { x, tanh } => {
@@ -330,7 +479,7 @@ impl Tape {
                 }
                 Op::Sigmoid(a) => {
                     let yv = &self.nodes[i].value;
-                    let mut gx = gy.clone();
+                    let mut gx = gy;
                     for (g, &y) in gx.as_mut_slice().iter_mut().zip(yv.as_slice()) {
                         *g *= y * (1.0 - y);
                     }
@@ -355,35 +504,46 @@ impl Tape {
                     eps,
                 } => {
                     let xv = &self.nodes[*x].value;
-                    let gv = &self.nodes[*gamma].value;
+                    let gv = self.nodes[*gamma].value.as_slice();
                     let (rows, cols) = xv.shape();
                     let d = cols as f32;
                     let mut gx = Tensor::zeros(rows, cols);
                     let mut ggamma = Tensor::zeros(1, cols);
                     let mut gbeta = Tensor::zeros(1, cols);
                     for r in 0..rows {
-                        let row = xv.row(r);
+                        let (row, gyr) = (xv.row(r), gy.row(r));
                         let mean = row.iter().sum::<f32>() / d;
                         let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d;
                         let inv = 1.0 / (var + eps).sqrt();
-                        let xhat: Vec<f32> = row.iter().map(|v| (v - mean) * inv).collect();
+                        let xhat = |v: f32| (v - mean) * inv;
                         // dgamma / dbeta.
-                        for (c, &xh) in xhat.iter().enumerate() {
-                            ggamma.set(0, c, ggamma.get(0, c) + gy.get(r, c) * xh);
-                            gbeta.set(0, c, gbeta.get(0, c) + gy.get(r, c));
+                        let gg = ggamma.as_mut_slice().iter_mut();
+                        for ((gg, gb), (&g, &v)) in
+                            gg.zip(gbeta.as_mut_slice()).zip(gyr.iter().zip(row))
+                        {
+                            *gg += g * xhat(v);
+                            *gb += g;
                         }
-                        // dx.
-                        let gyg: Vec<f32> =
-                            (0..cols).map(|c| gy.get(r, c) * gv.get(0, c)).collect();
-                        let m1 = gyg.iter().sum::<f32>() / d;
-                        let m2 = gyg.iter().zip(&xhat).map(|(a, b)| a * b).sum::<f32>() / d;
-                        for c in 0..cols {
-                            gx.set(r, c, (gyg[c] - m1 - xhat[c] * m2) * inv);
+                        // dx, from gy ⊙ gamma built in place.
+                        let gxr = &mut gx.as_mut_slice()[r * cols..(r + 1) * cols];
+                        for ((o, &g), &w) in gxr.iter_mut().zip(gyr).zip(gv) {
+                            *o = g * w;
+                        }
+                        let m1 = gxr.iter().sum::<f32>() / d;
+                        let m2 = gxr.iter().zip(row).map(|(a, &v)| a * xhat(v)).sum::<f32>() / d;
+                        for (o, &v) in gxr.iter_mut().zip(row) {
+                            *o = (*o - m1 - xhat(v) * m2) * inv;
                         }
                     }
-                    accum(&mut grads, *x, gx);
-                    accum(&mut grads, *gamma, ggamma);
-                    accum(&mut grads, *beta, gbeta);
+                    if wants(*x) {
+                        accum(&mut grads, *x, gx);
+                    }
+                    if wants(*gamma) {
+                        accum(&mut grads, *gamma, ggamma);
+                    }
+                    if wants(*beta) {
+                        accum(&mut grads, *beta, gbeta);
+                    }
                 }
                 Op::Transpose(a) => accum(&mut grads, *a, gy.transpose()),
                 Op::MeanRows(a) => {
@@ -399,25 +559,50 @@ impl Tape {
                 }
                 Op::SliceCols { src, start, len } => {
                     let (rows, cols) = self.nodes[*src].value.shape();
-                    let mut gx = Tensor::zeros(rows, cols);
-                    for r in 0..rows {
-                        for c in 0..*len {
-                            gx.set(r, start + c, gy.get(r, c));
+                    match &mut grads[*src] {
+                        // Adding the zero-padded slice gradient: the other
+                        // columns get +0.0, which turns a −0.0 into +0.0.
+                        Some(gx) => {
+                            for r in 0..rows {
+                                let dst = &mut gx.as_mut_slice()[r * cols..(r + 1) * cols];
+                                let (before, rest) = dst.split_at_mut(*start);
+                                let (mid, after) = rest.split_at_mut(*len);
+                                for (d, &g) in mid.iter_mut().zip(gy.row(r)) {
+                                    *d += g;
+                                }
+                                for d in before.iter_mut().chain(after) {
+                                    *d += 0.0;
+                                }
+                            }
+                        }
+                        slot @ None => {
+                            let mut gx = Tensor::zeros(rows, cols);
+                            for r in 0..rows {
+                                gx.as_mut_slice()[r * cols + start..][..*len]
+                                    .copy_from_slice(gy.row(r));
+                            }
+                            *slot = Some(gx);
                         }
                     }
-                    accum(&mut grads, *src, gx);
                 }
                 Op::ConcatCols(parts) => {
+                    let total = gy.cols();
                     let mut off = 0;
                     for &p in parts {
                         let (rows, cols) = self.nodes[p].value.shape();
-                        let mut gp = Tensor::zeros(rows, cols);
-                        for r in 0..rows {
-                            for c in 0..cols {
-                                gp.set(r, c, gy.get(r, off + c));
+                        match &mut grads[p] {
+                            Some(gp) => {
+                                for r in 0..rows {
+                                    let src = &gy.as_slice()[r * total + off..][..cols];
+                                    let dst = &mut gp.as_mut_slice()[r * cols..(r + 1) * cols];
+                                    for (d, &g) in dst.iter_mut().zip(src) {
+                                        *d += g;
+                                    }
+                                }
                             }
+                            slot @ None if wants(p) => *slot = Some(gy.slice_cols(off, cols)),
+                            None => {}
                         }
-                        accum(&mut grads, p, gp);
                         off += cols;
                     }
                 }
@@ -443,16 +628,120 @@ impl Tape {
                         .collect();
                     accum(&mut grads, *logits, Tensor::from_flat(rows, cols, data));
                 }
+                Op::Attention {
+                    q,
+                    k,
+                    v,
+                    heads,
+                    probs,
+                } => {
+                    let value = |j: usize| &*self.nodes[j].value;
+                    let [gq, gk, gv] =
+                        attention_backward(value(*q), value(*k), value(*v), *heads, probs, &gy);
+                    for (j, g) in [(*q, gq), (*k, gk), (*v, gv)] {
+                        if wants(j) {
+                            accum(&mut grads, j, g);
+                        }
+                    }
+                }
             }
         }
         Gradients(grads)
     }
 }
 
+/// The gradients of `q`, `k` and `v` of [`Tape::attention`] from the
+/// output gradient `gy`, computed head by head exactly as the per-head
+/// chain's backward computes them.
+fn attention_backward(
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    heads: usize,
+    probs: &[f32],
+    gy: &Tensor,
+) -> [Tensor; 3] {
+    let (n, d) = q.shape();
+    let hd = d / heads;
+    let scale = 1.0 / (hd as f32).sqrt();
+    let [mut gq, mut gk, mut gv] = [(); 3].map(|()| Tensor::zeros(n, d));
+    let mut scratch = vec![0.0; 2 * hd * n + n * n];
+    let (vt, rest) = scratch.split_at_mut(hd * n);
+    let (gkt, gs) = rest.split_at_mut(hd * n);
+    for h in (0..heads).rev().filter(|_| n > 0) {
+        let s = h * hd;
+        let p = &probs[h * n * n..(h + 1) * n * n];
+        let gh = Strided::rows(&gy.as_slice()[s..], d);
+        // Output matmul: ∂P = ∂Oₕ · Vₕᵀ, ∂Vₕ = Pᵀ · ∂Oₕ.
+        transpose_into(&v.as_slice()[s..], (n, hd), d, vt, n);
+        gemm((n, n, hd), gh, Strided::rows(vt, n), gs, n, false);
+        let pt = Strided::cols(p, n);
+        gemm((n, hd, n), pt, gh, &mut gv.as_mut_slice()[s..], d, false);
+        // Softmax, then the score scale.
+        for r in 0..n {
+            let (g, y) = (&mut gs[r * n..(r + 1) * n], &p[r * n..(r + 1) * n]);
+            let dot: f32 = g.iter().zip(y).map(|(g, y)| g * y).sum();
+            for (g, &y) in g.iter_mut().zip(y) {
+                *g = y * (*g - dot) * scale;
+            }
+        }
+        // Score matmul: ∂Qₕ = ∂S · Kₕ, ∂Kₕᵀ = Qₕᵀ · ∂S.
+        let kh = Strided::rows(&k.as_slice()[s..], d);
+        gemm(
+            (n, hd, n),
+            Strided::rows(gs, n),
+            kh,
+            &mut gq.as_mut_slice()[s..],
+            d,
+            false,
+        );
+        let qt = Strided::cols(&q.as_slice()[s..], d);
+        gemm((hd, n, n), qt, Strided::rows(gs, n), gkt, n, false);
+        transpose_into(gkt, (hd, n), n, &mut gk.as_mut_slice()[s..], d);
+    }
+    if heads > 1 {
+        // The chain summed each head's zero-padded full-width slice
+        // gradient, which adds +0.0 to every element.
+        for g in [&mut gq, &mut gk, &mut gv] {
+            for x in g.as_mut_slice() {
+                *x += 0.0;
+            }
+        }
+    }
+    [gq, gk, gv]
+}
+
+/// Adds `g` into a node's gradient slot, in place.
 fn accum(grads: &mut [Option<Tensor>], idx: usize, g: Tensor) {
     match &mut grads[idx] {
-        Some(existing) => *existing = existing.add(&g),
+        Some(existing) => existing.add_assign(&g),
         slot @ None => *slot = Some(g),
+    }
+}
+
+/// [`accum`] of a product that `write(g, add)` stores into `g`, or adds
+/// to it with `add`, with the bits of adding it as its own tensor.
+fn accum_product(
+    grads: &mut [Option<Tensor>],
+    idx: usize,
+    (rows, cols): (usize, usize),
+    write: impl FnOnce(&mut Tensor, bool),
+) {
+    match &mut grads[idx] {
+        Some(existing) => write(existing, true),
+        slot @ None => {
+            let mut g = Tensor::zeros(rows, cols);
+            write(&mut g, false);
+            *slot = Some(g);
+        }
+    }
+}
+
+/// [`accum`] of a borrowed gradient, copied only into an empty slot.
+fn accum_ref(grads: &mut [Option<Tensor>], idx: usize, g: &Tensor) {
+    match &mut grads[idx] {
+        Some(existing) => existing.add_assign(g),
+        slot @ None => *slot = Some(g.clone()),
     }
 }
 

@@ -101,43 +101,88 @@ impl Tensor {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self · other`.
+    /// Matrix product `self · other`, under the [crate]-level kernel
+    /// contract.
     ///
     /// # Panics
     ///
     /// Panics on an inner-dimension mismatch.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(self.rows, other.cols);
+        self.matmul_into(other, &mut out, false);
+        out
+    }
+
+    /// `out = self · other`, or `out += self · other` with `add` (the bits
+    /// of adding the product as a separate tensor).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an inner-dimension or output-shape mismatch.
+    pub(crate) fn matmul_into(&self, other: &Tensor, out: &mut Tensor, add: bool) {
         assert_eq!(
             self.cols, other.rows,
             "matmul {}x{} · {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Tensor::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let dst = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (d, &b) in dst.iter_mut().zip(orow) {
-                    *d += a * b;
-                }
-            }
-        }
-        out
+        assert_eq!(out.shape(), (self.rows, other.cols), "matmul output shape");
+        gemm(
+            (self.rows, other.cols, self.cols),
+            Strided::rows(&self.data, self.cols),
+            Strided::rows(&other.data, other.cols),
+            &mut out.data,
+            other.cols,
+            add,
+        );
+    }
+
+    /// `out (+)= selfᵀ · other` as in [`Tensor::matmul_into`], without
+    /// building the transpose; bit-identical to
+    /// `self.transpose().matmul(other)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a row-count or output-shape mismatch.
+    pub(crate) fn transpose_matmul_into(&self, other: &Tensor, out: &mut Tensor, add: bool) {
+        assert_eq!(
+            self.rows, other.rows,
+            "transpose_matmul {}x{}ᵀ · {}x{}",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        assert_eq!(out.shape(), (self.cols, other.cols), "matmul output shape");
+        gemm(
+            (self.cols, other.cols, self.rows),
+            Strided::cols(&self.data, self.cols),
+            Strided::rows(&other.data, other.cols),
+            &mut out.data,
+            other.cols,
+            add,
+        );
     }
 
     /// Transpose.
     pub fn transpose(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
+        transpose_into(
+            &self.data,
+            self.shape(),
+            self.cols,
+            &mut out.data,
+            self.rows,
+        );
         out
+    }
+
+    /// Elementwise `self += other`: the same bits as `self.add(other)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shape mismatch.
+    pub(crate) fn add_assign(&mut self, other: &Tensor) {
+        assert_eq!(self.shape(), other.shape(), "add shape mismatch");
+        for (a, b) in self.data.iter_mut().zip(&other.data) {
+            *a += b;
+        }
     }
 
     /// Elementwise sum with another tensor of the same shape.
@@ -190,8 +235,9 @@ impl Tensor {
         assert_eq!(bias.shape(), (1, self.cols), "bias must be 1 x cols");
         let mut out = self.clone();
         for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[r * self.cols + c] += bias.data[c];
+            let row = &mut out.data[r * self.cols..(r + 1) * self.cols];
+            for (o, b) in row.iter_mut().zip(&bias.data) {
+                *o += b;
             }
         }
         out
@@ -216,16 +262,7 @@ impl Tensor {
     pub fn softmax_rows(&self) -> Tensor {
         let mut out = self.clone();
         for r in 0..self.rows {
-            let row = &mut out.data[r * self.cols..(r + 1) * self.cols];
-            let m = row.iter().copied().fold(f32::MIN, f32::max);
-            let mut s = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v - m).exp();
-                s += *v;
-            }
-            for v in row.iter_mut() {
-                *v /= s;
-            }
+            softmax_in_place(&mut out.data[r * self.cols..(r + 1) * self.cols]);
         }
         out
     }
@@ -253,6 +290,190 @@ impl Tensor {
     /// Maximum absolute element (0 for empty tensors).
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
+    }
+}
+
+/// A read-only strided matrix: element `(r, c)` is `data[r * rs + c * cs]`.
+/// A row-major matrix, a block of its columns and its transpose are all
+/// views of the same buffer.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Strided<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
+}
+
+impl<'a> Strided<'a> {
+    /// A row-major matrix whose rows start `ld` apart.
+    pub(crate) fn rows(data: &'a [f32], ld: usize) -> Self {
+        Self {
+            data,
+            rs: ld,
+            cs: 1,
+        }
+    }
+
+    /// The transpose of a row-major matrix whose rows start `ld` apart.
+    pub(crate) fn cols(data: &'a [f32], ld: usize) -> Self {
+        Self {
+            data,
+            rs: 1,
+            cs: ld,
+        }
+    }
+}
+
+/// `out[i·ldo + j] = Σₖ a(i, k) · b(k, j)` for `i < m`, `j < n`, `k < depth`;
+/// `b` must have unit column stride.
+///
+/// Each output element is summed over `k` in ascending order from `+0.0`,
+/// skipping the terms whose left operand `a(i, k)` is zero, with a
+/// separate multiply and add: the exact bits of the naive triple loop.
+/// Only the schedule differs: two rows at a time, in column blocks of 24,
+/// 16, 8 and the remainder, whose accumulators stay in registers for the
+/// whole `k` loop instead of being reloaded and stored once per `k`.
+/// With `add` each finished sum is added to the output element instead
+/// of replacing it.
+pub(crate) fn gemm(
+    (m, n, depth): (usize, usize, usize),
+    a: Strided<'_>,
+    b: Strided<'_>,
+    out: &mut [f32],
+    ldo: usize,
+    add: bool,
+) {
+    debug_assert_eq!(b.cs, 1, "gemm reads rows of b");
+    let k = Gemm {
+        depth,
+        a,
+        b,
+        ldo,
+        n,
+        add,
+    };
+    let mut i = 0;
+    while i + 2 <= m {
+        k.rows::<2>(i, out);
+        i += 2;
+    }
+    if i < m {
+        k.rows::<1>(i, out);
+    }
+}
+
+/// One [`gemm`] call's operands.
+#[derive(Clone, Copy)]
+struct Gemm<'a> {
+    depth: usize,
+    a: Strided<'a>,
+    b: Strided<'a>,
+    ldo: usize,
+    n: usize,
+    add: bool,
+}
+
+impl Gemm<'_> {
+    /// Output rows `[i, i + R)`, block by block.
+    #[inline(always)]
+    fn rows<const R: usize>(self, i: usize, out: &mut [f32]) {
+        let mut j = 0;
+        while j + 24 <= self.n {
+            self.block::<R, 24>(i, j, out);
+            j += 24;
+        }
+        if j + 16 <= self.n {
+            self.block::<R, 16>(i, j, out);
+            j += 16;
+        }
+        if j + 8 <= self.n {
+            self.block::<R, 8>(i, j, out);
+            j += 8;
+        }
+        match self.n - j {
+            0 => {}
+            1 => self.block::<R, 1>(i, j, out),
+            2 => self.block::<R, 2>(i, j, out),
+            3 => self.block::<R, 3>(i, j, out),
+            4 => self.block::<R, 4>(i, j, out),
+            5 => self.block::<R, 5>(i, j, out),
+            6 => self.block::<R, 6>(i, j, out),
+            _ => self.block::<R, 7>(i, j, out),
+        }
+    }
+
+    /// Columns `[j, j + W)` of output rows `[i, i + R)`.
+    #[inline(always)]
+    fn block<const R: usize, const W: usize>(self, i: usize, j: usize, out: &mut [f32]) {
+        let (a, b) = (self.a, self.b);
+        let mut acc = [[0.0f32; W]; R];
+        for k in 0..self.depth {
+            let row: [f32; W] = b.data[k * b.rs + j..][..W]
+                .try_into()
+                .expect("a block of W columns");
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let x = a.data[(i + r) * a.rs + k * a.cs];
+                if x != 0.0 {
+                    for (s, &y) in acc.iter_mut().zip(&row) {
+                        *s += x * y;
+                    }
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            let dst = &mut out[(i + r) * self.ldo + j..][..W];
+            if self.add {
+                for (d, s) in dst.iter_mut().zip(acc) {
+                    *d += s;
+                }
+            } else {
+                dst.copy_from_slice(acc);
+            }
+        }
+    }
+}
+
+/// Writes the transpose of the `rows × cols` matrix whose rows start
+/// `lds` apart in `src` into `dst`, whose rows start `ldd` apart.
+pub(crate) fn transpose_into(
+    src: &[f32],
+    (rows, cols): (usize, usize),
+    lds: usize,
+    dst: &mut [f32],
+    ldd: usize,
+) {
+    // 4 × 4 tiles, so each tile moves through registers, then the edges.
+    let (r4, c4) = (rows - rows % 4, cols - cols % 4);
+    for r in (0..r4).step_by(4) {
+        for c in (0..c4).step_by(4) {
+            let t: [[f32; 4]; 4] = std::array::from_fn(|i| {
+                src[(r + i) * lds + c..][..4]
+                    .try_into()
+                    .expect("a tile row")
+            });
+            for j in 0..4 {
+                dst[(c + j) * ldd + r..][..4]
+                    .copy_from_slice(&[t[0][j], t[1][j], t[2][j], t[3][j]]);
+            }
+        }
+    }
+    for r in 0..rows {
+        let tail = if r < r4 { c4 } else { 0 };
+        for c in tail..cols {
+            dst[c * ldd + r] = src[r * lds + c];
+        }
+    }
+}
+
+/// Softmax of one row, in place.
+pub(crate) fn softmax_in_place(row: &mut [f32]) {
+    let m = row.iter().copied().fold(f32::MIN, f32::max);
+    let mut s = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - m).exp();
+        s += *v;
+    }
+    for v in row.iter_mut() {
+        *v /= s;
     }
 }
 
@@ -291,6 +512,120 @@ pub fn sigmoid(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The naive triple loop every product kernel must match bit for bit.
+    fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.rows, b.cols);
+        for i in 0..a.rows {
+            for k in 0..a.cols {
+                let x = a.get(i, k);
+                if x == 0.0 {
+                    continue;
+                }
+                let orow = &b.data[k * b.cols..(k + 1) * b.cols];
+                let dst = &mut out.data[i * b.cols..(i + 1) * b.cols];
+                for (d, &y) in dst.iter_mut().zip(orow) {
+                    *d += x * y;
+                }
+            }
+        }
+        out
+    }
+
+    /// The element-by-element transpose.
+    fn naive_transpose(a: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.cols, a.rows);
+        for r in 0..a.rows {
+            for c in 0..a.cols {
+                out.set(c, r, a.get(r, c));
+            }
+        }
+        out
+    }
+
+    fn transpose_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.cols, b.cols);
+        a.transpose_matmul_into(b, &mut out, false);
+        out
+    }
+
+    /// Element bits, with every NaN as one value: which NaN payload a sum
+    /// of two NaNs keeps depends on the operand order the compiler picks.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        let canon = |v: f32| if v.is_nan() { f32::NAN } else { v }.to_bits();
+        t.data.iter().map(|&v| canon(v)).collect()
+    }
+
+    /// Random entries, a fifth of them `+0.0` or `-0.0`; with `specials`
+    /// also `±inf` and NaN.
+    fn spiky(rng: &mut StdRng, rows: usize, cols: usize, specials: bool) -> Tensor {
+        let data = (0..rows * cols)
+            .map(|_| match rng.gen_range(0..20) {
+                0 | 1 => 0.0,
+                2 | 3 => -0.0,
+                4 if specials => f32::INFINITY,
+                5 if specials => f32::NEG_INFINITY,
+                6 if specials => f32::NAN,
+                _ => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect();
+        Tensor::from_flat(rows, cols, data)
+    }
+
+    #[test]
+    fn kernels_match_the_naive_loops_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for case in 0..300 {
+            let m = rng.gen_range(1..=50);
+            let k = if case % 4 == 0 {
+                1
+            } else {
+                rng.gen_range(1..=50)
+            };
+            let n = rng.gen_range(1..=50);
+            // ±inf and NaN only in the right operand: a zero on the left
+            // must skip them, as the naive loop does.
+            let a = spiky(&mut rng, m, k, false);
+            let b = spiky(&mut rng, k, n, true);
+            let shape = format!("{m}x{k} · {k}x{n}");
+            assert_eq!(bits(&a.matmul(&b)), bits(&naive_matmul(&a, &b)), "{shape}");
+            let at = naive_transpose(&a);
+            assert_eq!(bits(&a.transpose()), bits(&at), "transpose {m}x{k}");
+            assert_eq!(
+                bits(&transpose_matmul(&at, &b)),
+                bits(&naive_matmul(&a, &b)),
+                "transposed {shape}"
+            );
+            // Accumulating into an existing output adds the product.
+            let c = spiky(&mut rng, m, n, true);
+            let want = bits(&c.add(&naive_matmul(&a, &b)));
+            let mut got = c.clone();
+            a.matmul_into(&b, &mut got, true);
+            assert_eq!(bits(&got), want, "accumulated {shape}");
+            let mut got = c.clone();
+            at.transpose_matmul_into(&b, &mut got, true);
+            assert_eq!(bits(&got), want, "accumulated transposed {shape}");
+            let mut sum = a.clone();
+            let other = spiky(&mut rng, m, k, true);
+            sum.add_assign(&other);
+            assert_eq!(bits(&sum), bits(&a.add(&other)), "add_assign {m}x{k}");
+        }
+    }
+
+    #[test]
+    fn the_zero_skip_keeps_infinities_out() {
+        // 0 · inf would be NaN; the skipped term leaves the sum finite.
+        let a = Tensor::from_rows(&[vec![0.0, 1.0], vec![-0.0, 2.0]]);
+        let b = Tensor::from_rows(&[vec![f32::INFINITY, f32::NAN], vec![3.0, -4.0]]);
+        assert_eq!(a.matmul(&b).as_slice(), &[3.0, -4.0, 6.0, -8.0]);
+        let at = a.transpose();
+        assert_eq!(
+            transpose_matmul(&at, &b).as_slice(),
+            &[3.0, -4.0, 6.0, -8.0]
+        );
+    }
 
     #[test]
     fn construction_and_access() {

@@ -108,6 +108,41 @@ fn flow_trace_nests_every_stage_and_registers_metric_families() {
         );
     }
 
+    // The learning stages nest under `decisions`, and pretraining
+    // reports the steps it took.
+    let decisions = spans
+        .iter()
+        .find(|l| extract_str(l, "name") == Some("decisions"))
+        .expect("decisions span emitted");
+    let decisions_id = extract_u64(decisions, "id").expect("decisions span id");
+    for stage in [
+        "route_all",
+        "paths",
+        "oracle",
+        "pretrain",
+        "finetune",
+        "evaluate",
+        "decide",
+    ] {
+        let s = spans
+            .iter()
+            .find(|l| extract_str(l, "name") == Some(stage))
+            .unwrap_or_else(|| panic!("missing decisions stage span `{stage}`"));
+        assert_eq!(
+            extract_u64(s, "parent"),
+            Some(decisions_id),
+            "stage `{stage}` must nest under the decisions span: {s}"
+        );
+    }
+    let pretrain = spans
+        .iter()
+        .find(|l| extract_str(l, "name") == Some("pretrain"))
+        .expect("pretrain span");
+    assert!(
+        extract_u64(pretrain, "steps").is_some_and(|n| n > 0),
+        "pretrain reports its steps: {pretrain}"
+    );
+
     // One routed flow touches the router + flow metric families; the
     // acceptance bar is at least 8 distinct names in the exposition.
     let exposition = gnnmls_obs::render();
