@@ -14,35 +14,33 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use gnn_mls::flow::prepare;
+use gnn_mls::flow::{prepare, route_and_time};
 use gnn_mls::model::{EncoderKind, GnnMls, ModelConfig};
 use gnn_mls::oracle::{label_paths, OracleConfig};
 use gnn_mls::paths::{extract_path_samples, PathSample};
 use gnnmls_bench::designs::bench_scale;
-use gnnmls_route::{route_design, MlsPolicy, Router};
-use gnnmls_sta::{analyze, StaConfig};
+use gnnmls_route::{route_design, MlsPolicy};
 
 /// Builds one real labeled dataset (train, eval) at bench scale.
 fn dataset() -> (Vec<PathSample>, Vec<PathSample>) {
     let exp = bench_scale();
     let (netlist, placement) = prepare(&exp.design, &exp.cfg).unwrap();
-    let mut router = Router::new(
+    let base = route_and_time(
         &netlist,
         &placement,
         &exp.design.tech,
-        MlsPolicy::Disabled,
-        exp.cfg.route.clone(),
+        &MlsPolicy::Disabled,
+        &exp.cfg,
+        "baseline",
     )
     .unwrap();
-    router.route_all().unwrap();
-    let routes = router.db().unwrap();
-    let rep = analyze(&netlist, &routes, StaConfig::from_freq_mhz(2500.0)).unwrap();
-    let mut samples = extract_path_samples(&netlist, &placement, &exp.design.tech, &rep, 120);
+    let mut samples =
+        extract_path_samples(&netlist, &placement, &exp.design.tech, &base.timing, 120);
     label_paths(
         &mut samples,
         &netlist,
-        &router,
-        &routes,
+        &base.router,
+        &base.routes,
         &OracleConfig::default(),
     )
     .unwrap();
@@ -123,24 +121,22 @@ fn bench_oracle_threshold(c: &mut Criterion) {
     for thr in [0.1_f64, 0.5, 2.0] {
         g.bench_function(format!("gain_{thr}"), |b| {
             b.iter(|| {
-                let mut router = Router::new(
+                let base = route_and_time(
                     &netlist,
                     &placement,
                     &exp.design.tech,
-                    MlsPolicy::Disabled,
-                    exp.cfg.route.clone(),
+                    &MlsPolicy::Disabled,
+                    &exp.cfg,
+                    "baseline",
                 )
                 .unwrap();
-                router.route_all().unwrap();
-                let routes = router.db().unwrap();
-                let rep = analyze(&netlist, &routes, StaConfig::from_freq_mhz(2500.0)).unwrap();
                 let mut samples =
-                    extract_path_samples(&netlist, &placement, &exp.design.tech, &rep, 20);
+                    extract_path_samples(&netlist, &placement, &exp.design.tech, &base.timing, 20);
                 label_paths(
                     &mut samples,
                     &netlist,
-                    &router,
-                    &routes,
+                    &base.router,
+                    &base.routes,
                     &OracleConfig {
                         gain_threshold_ps: thr,
                     },

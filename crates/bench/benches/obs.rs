@@ -22,12 +22,12 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 
+use gnn_mls::flow::{prepare, route_and_time, Routed};
 use gnn_mls::oracle::{label_paths, OracleConfig};
 use gnn_mls::paths::{extract_path_samples_par, PathSample};
 use gnnmls_bench::designs::bench_scale;
 use gnnmls_obs::{install_guarded, MemorySink};
-use gnnmls_route::{MlsPolicy, Router};
-use gnnmls_sta::{analyze, StaConfig};
+use gnnmls_route::MlsPolicy;
 
 const PATHS: usize = 40;
 const BUDGET_PCT: f64 = 5.0;
@@ -65,20 +65,22 @@ fn wall<F: FnMut()>(mut f: F) -> Duration {
 
 fn bench_obs(c: &mut Criterion) {
     let exp = bench_scale();
-    let (netlist, placement) = gnn_mls::flow::prepare(&exp.design, &exp.cfg).unwrap();
-    let mut router = Router::new(
+    let (netlist, placement) = prepare(&exp.design, &exp.cfg).unwrap();
+    let Routed {
+        router,
+        routes,
+        timing,
+    } = route_and_time(
         &netlist,
         &placement,
         &exp.design.tech,
-        MlsPolicy::Disabled,
-        exp.cfg.route.clone(),
+        &MlsPolicy::Disabled,
+        &exp.cfg,
+        "baseline",
     )
     .unwrap();
-    router.route_all().unwrap();
-    let routes = router.db().unwrap();
-    let report = analyze(&netlist, &routes, StaConfig::from_freq_mhz(2500.0)).unwrap();
     let samples =
-        extract_path_samples_par(&netlist, &placement, &exp.design.tech, &report, PATHS, 0);
+        extract_path_samples_par(&netlist, &placement, &exp.design.tech, &timing, PATHS, 0);
 
     let label = |sm: &mut [PathSample]| {
         label_paths(sm, &netlist, &router, &routes, &OracleConfig::default()).unwrap()

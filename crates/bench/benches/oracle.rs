@@ -15,13 +15,14 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 
+use gnn_mls::flow::{prepare, route_and_time, Routed};
 use gnn_mls::oracle::{label_paths, OracleConfig};
 use gnn_mls::paths::{extract_path_samples_par, PathSample};
 use gnnmls_bench::designs::bench_scale;
 use gnnmls_netlist::Netlist;
 use gnnmls_phys::Placement;
 use gnnmls_route::{MlsPolicy, RouteConfig, RouteDb, Router};
-use gnnmls_sta::{analyze, StaConfig, TimingReport};
+use gnnmls_sta::TimingReport;
 
 const PATHS: usize = 40;
 
@@ -56,26 +57,23 @@ struct Scenario {
 
 fn scenario() -> Scenario {
     let exp = bench_scale();
-    let (netlist, placement) = gnn_mls::flow::prepare(&exp.design, &exp.cfg).unwrap();
-    let route_cfg = exp.cfg.route.clone();
-    let mut router = Router::new(
+    let (netlist, placement) = prepare(&exp.design, &exp.cfg).unwrap();
+    let Routed { routes, timing, .. } = route_and_time(
         &netlist,
         &placement,
         &exp.design.tech,
-        MlsPolicy::Disabled,
-        route_cfg.clone(),
+        &MlsPolicy::Disabled,
+        &exp.cfg,
+        "baseline",
     )
     .unwrap();
-    router.route_all().unwrap();
-    let routes = router.db().unwrap();
-    let report = analyze(&netlist, &routes, StaConfig::from_freq_mhz(2500.0)).unwrap();
     Scenario {
         netlist,
         placement,
         tech: exp.design.tech.clone(),
         routes,
-        report,
-        route_cfg,
+        report: timing,
+        route_cfg: exp.cfg.route.clone(),
     }
 }
 

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use gnn_mls::flow::{prepare, run_flow, FlowPolicy};
+use gnn_mls::flow::{prepare, route_and_time, run_flow, FlowPolicy, Routed};
 use gnn_mls::oracle::{label_paths, net_mls_impact, OracleConfig};
 use gnn_mls::paths::extract_path_samples;
 use gnn_mls::SessionSpec;
@@ -25,20 +25,21 @@ fn bench_table1(c: &mut Criterion) {
     let (netlist, placement) = prepare(&exp.design, &exp.cfg).unwrap();
     c.bench_function("table1_single_net_whatif", |b| {
         b.iter(|| {
-            let mut router = Router::new(
+            let Routed {
+                router,
+                routes,
+                timing,
+            } = route_and_time(
                 &netlist,
                 &placement,
                 &exp.design.tech,
-                MlsPolicy::Disabled,
-                exp.cfg.route.clone(),
+                &MlsPolicy::Disabled,
+                &exp.cfg,
+                "baseline",
             )
             .unwrap();
-            router.route_all().unwrap();
-            let routes = router.db().unwrap();
-            let rep = analyze(&netlist, &routes, StaConfig::from_freq_mhz(2500.0)).unwrap();
-            let samples = extract_path_samples(&netlist, &placement, &exp.design.tech, &rep, 10);
-            let grid = router.grid().clone();
-            net_mls_impact(&samples, &netlist, &router, &routes, &grid)
+            let samples = extract_path_samples(&netlist, &placement, &exp.design.tech, &timing, 10);
+            net_mls_impact(&samples, &netlist, &router, &routes, router.grid())
                 .unwrap()
                 .len()
         })

@@ -10,39 +10,37 @@
 //! cargo run --release -p gnnmls-bench --bin table1
 //! ```
 
-use gnn_mls::flow::prepare;
+use gnn_mls::flow::{prepare, route_and_time};
 use gnn_mls::oracle::{net_mls_impact, NetImpact};
 use gnn_mls::paths::extract_path_samples;
 use gnnmls_bench::designs::maeri128_hetero;
 use gnnmls_bench::paper::TABLE1;
 use gnnmls_bench::render::{check, summarize, write_json, Comparison};
-use gnnmls_route::{MlsPolicy, Router};
-use gnnmls_sta::{analyze, StaConfig};
+use gnnmls_route::MlsPolicy;
 
 fn main() {
     let exp = maeri128_hetero();
     let (netlist, placement) = prepare(&exp.design, &exp.cfg).expect("prepare succeeds");
-    let mut router = Router::new(
+    let base = route_and_time(
         &netlist,
         &placement,
         &exp.design.tech,
-        MlsPolicy::Disabled,
-        exp.cfg.route.clone(),
+        &MlsPolicy::Disabled,
+        &exp.cfg,
+        "baseline",
     )
-    .expect("router builds");
-    router.route_all().unwrap();
-    let routes = router.db().unwrap();
-    let report = analyze(
-        &netlist,
-        &routes,
-        StaConfig::from_freq_mhz(exp.cfg.target_freq_mhz),
-    )
-    .expect("acyclic design");
+    .expect("baseline routes, audits clean and times");
 
     eprintln!("evaluating single-net MLS impact over the 200 worst paths ...");
-    let samples = extract_path_samples(&netlist, &placement, &exp.design.tech, &report, 200);
-    let grid = router.grid().clone();
-    let impacts = net_mls_impact(&samples, &netlist, &router, &routes, &grid).unwrap();
+    let samples = extract_path_samples(&netlist, &placement, &exp.design.tech, &base.timing, 200);
+    let impacts = net_mls_impact(
+        &samples,
+        &netlist,
+        &base.router,
+        &base.routes,
+        base.router.grid(),
+    )
+    .unwrap();
 
     let crossed: Vec<&NetImpact> = impacts
         .iter()

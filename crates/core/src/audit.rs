@@ -7,12 +7,15 @@
 //! (same design, same policy) and carry sane aggregate numbers.
 //!
 //! Where the auditor runs:
+//! - inside [`crate::flow::route_and_time`] (full), so on every DB it
+//!   routes: the GNN-MLS learning baseline (`baseline`) before the
+//!   oracle labels it, the DFT ECO re-route (`dft-reroute`), a
+//!   [`crate::session::DesignSession`] build (`session-build`) and each
+//!   `gnnmls_zoo` corpus design (`corpus`);
 //! - after the routing stage of [`crate::flow::run_flow`] — fresh or
 //!   resumed from a checkpoint, the DB is proven before STA reads it;
-//! - after the DFT ECO re-route;
 //! - on a resumed `report-<policy>` stage (consistency, not recount);
-//! - after a [`crate::session::DesignSession`] build (full), and on
-//!   every serve warm cache hit (cheap mode).
+//! - on every serve warm cache hit (cheap mode).
 
 use gnnmls_netlist::Netlist;
 use gnnmls_route::{audit_route_db, AuditMode, MlsPolicy, RouteDb, RoutingGrid};

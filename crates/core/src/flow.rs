@@ -18,19 +18,19 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use gnnmls_dft::{analyze_coverage, insert_mls_dft, DftMode, ScanChain};
+use gnnmls_dft::{analyze_coverage, insert_mls_dft, DftMode};
 use gnnmls_netlist::generators::GeneratedDesign;
 use gnnmls_netlist::graph::GraphError;
-use gnnmls_netlist::{NetId, Netlist, NetlistError, Tier};
+use gnnmls_netlist::{NetId, Netlist, NetlistError, TechConfig, Tier};
 use gnnmls_pdn::ir::size_for_budget;
 use gnnmls_pdn::{insert_level_shifters, LevelShifterReport, PowerConfig, PowerReport};
 use gnnmls_phys::{
     insert_repeaters, place, Floorplan, PlaceConfig, PlaceError, Placement, RepeaterConfig,
 };
 use gnnmls_route::{
-    route_design, MlsPolicy, RouteConfig, RouteDb, RouteError, Router, RoutingGrid,
+    route_design, AuditMode, MlsPolicy, RouteConfig, RouteDb, RouteError, Router, RoutingGrid,
 };
-use gnnmls_sta::{analyze, StaConfig, StaError};
+use gnnmls_sta::{analyze, StaConfig, StaError, TimingReport};
 
 use crate::checkpoint::{load_stage, save_stage, CheckpointError, ModelCheckpoint};
 use crate::model::{GnnMls, ModelConfig, ModelError};
@@ -352,6 +352,59 @@ fn prepare_reported(
     Ok((netlist, placement, ls))
 }
 
+/// A route DB that [`route_and_time`] has proven and timed.
+pub struct Routed<'a> {
+    /// The router that produced `routes`, kept alive for what-if
+    /// queries (the oracle) and for its grid and congestion scale.
+    pub router: Router<'a>,
+    /// The routed DB; it passed a full audit.
+    pub routes: RouteDb,
+    /// STA of `routes` at the flow's target clock.
+    pub timing: TimingReport,
+}
+
+/// The one route → audit → STA stage: routes a prepared design under
+/// `policy` with [`FlowConfig::route_cfg`], proves the DB with a full
+/// audit tagged `stage`, and times it at [`FlowConfig::target_freq_mhz`].
+/// The learning baseline, the DFT re-route, [`crate::DesignSession`]
+/// builds, the zoo corpus and the experiments all route through it. It
+/// opens no span, so the router's `route_all` nests under the caller's.
+///
+/// # Errors
+///
+/// Returns [`FlowError::Route`], [`FlowError::AuditFailed`] or
+/// [`FlowError::Sta`] from the failing step.
+pub fn route_and_time<'a>(
+    netlist: &'a Netlist,
+    placement: &'a Placement,
+    tech: &TechConfig,
+    policy: &MlsPolicy,
+    cfg: &FlowConfig,
+    stage: &str,
+) -> Result<Routed<'a>, FlowError> {
+    let mut router = Router::new(netlist, placement, tech, policy.clone(), cfg.route_cfg())?;
+    router.route_all()?;
+    let routes = router.db()?;
+    crate::audit::check_routes(
+        netlist,
+        router.grid(),
+        policy,
+        &routes,
+        AuditMode::Full,
+        stage,
+    )?;
+    let timing = analyze(
+        netlist,
+        &routes,
+        StaConfig::from_freq_mhz(cfg.target_freq_mhz),
+    )?;
+    Ok(Routed {
+        router,
+        routes,
+        timing,
+    })
+}
+
 /// The resumable result of the GNN-MLS learning stage (stage name
 /// `decisions-<policy>` in the resume directory).
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -367,6 +420,19 @@ pub(crate) struct DecisionsCheckpoint {
     pub(crate) model_fallback: bool,
     /// Training epochs retried after a divergence rollback.
     pub(crate) training_retries: u32,
+}
+
+impl DecisionsCheckpoint {
+    /// The routing policy the decisions select: exactly the chosen nets,
+    /// or the heuristic (SOTA) policy under a model fallback.
+    pub(crate) fn route_policy(&self, netlist: &Netlist) -> MlsPolicy {
+        if self.model_fallback {
+            gnnmls_obs::warn("gnn-mls", "using heuristic MLS policy (model fallback)");
+            MlsPolicy::sota()
+        } else {
+            MlsPolicy::per_net_from(netlist, self.selected.iter().copied())
+        }
+    }
 }
 
 /// Loads `stage` from the resume directory if configured and present,
@@ -477,7 +543,7 @@ pub fn run_flow(
             let mut s = gnnmls_obs::span("decisions");
             let decisions = resume_or(cfg, &format!("decisions-{slug}"), || {
                 let t0 = Instant::now();
-                let mut d = learn_decisions(&netlist, &placement, tech, cfg, sta_cfg)?;
+                let (mut d, _) = learn_decisions_with_model(&netlist, &placement, tech, cfg)?;
                 d.runtime_s = Some(t0.elapsed().as_secs_f64());
                 Ok(d)
             })?;
@@ -488,12 +554,7 @@ pub fn run_flow(
             s.field_u64("selected", decisions.selected.len() as u64);
             s.field_bool("model_fallback", decisions.model_fallback);
             s.field_u64("training_retries", u64::from(decisions.training_retries));
-            if decisions.model_fallback {
-                gnnmls_obs::warn("gnn-mls", "using heuristic MLS policy (model fallback)");
-                MlsPolicy::sota()
-            } else {
-                MlsPolicy::per_net_from(&netlist, decisions.selected)
-            }
+            decisions.route_policy(&netlist)
         }
     };
 
@@ -535,7 +596,7 @@ pub fn run_flow(
             &grid,
             &route_policy,
             &routes,
-            gnnmls_route::AuditMode::Full,
+            AuditMode::Full,
             &format!("routes-{slug}"),
         )?;
     }
@@ -579,23 +640,10 @@ pub fn run_flow(
                 allowed.insert(child);
             }
             let post_policy = MlsPolicy::per_net_from(&netlist, allowed.iter().copied());
-            let (r2, post_grid) = route_design(
-                &netlist,
-                &placement,
-                tech,
-                post_policy.clone(),
-                cfg.route_cfg(),
-            )?;
-            crate::audit::check_routes(
-                &netlist,
-                &post_grid,
-                &post_policy,
-                &r2,
-                gnnmls_route::AuditMode::Full,
-                "dft-reroute",
-            )?;
-            routes = r2;
-            timing = analyze(&netlist, &routes, sta_cfg)?;
+            let rerouted =
+                route_and_time(&netlist, &placement, tech, &post_policy, cfg, "dft-reroute")?;
+            routes = rerouted.routes;
+            timing = rerouted.timing;
         }
         // Coverage on the post-ECO design: the inserted DFT cells add
         // their own faults (Table III counts them) and the mode's test
@@ -603,8 +651,6 @@ pub fn run_flow(
         let cov = analyze_coverage(&netlist, &routes, mode);
         coverage = Some(cov.coverage_pct());
         faults = Some((cov.total_faults, cov.detected_faults));
-        // Scan stitching (full-scan model; chain length sanity only).
-        let _ = ScanChain::build(&netlist, &placement, 5.0);
     }
 
     // Power.
@@ -705,32 +751,20 @@ pub fn run_flow(
     Ok(report)
 }
 
-/// The learning phase: baseline route/STA, oracle labels, DGI + MLP
-/// training, per-net decisions.
+/// The learning phase: baseline route/audit/STA, oracle labels, DGI +
+/// MLP training, per-net decisions. Returns the trained (or restored)
+/// model too, so a warm serve session can answer inference requests
+/// without retraining; the model is `None` under the heuristic fallback.
 ///
 /// An unusable model — a pre-trained checkpoint that does not restore,
 /// or training that diverges past its retry budget — degrades to the
 /// heuristic policy (`model_fallback` in the returned checkpoint)
 /// instead of failing the flow.
-fn learn_decisions(
-    netlist: &Netlist,
-    placement: &Placement,
-    tech: &gnnmls_netlist::TechConfig,
-    cfg: &FlowConfig,
-    sta_cfg: StaConfig,
-) -> Result<DecisionsCheckpoint, FlowError> {
-    learn_decisions_with_model(netlist, placement, tech, cfg, sta_cfg).map(|(d, _)| d)
-}
-
-/// [`learn_decisions`] keeping the trained (or restored) model, so a
-/// warm serve session can answer inference requests without retraining.
-/// The model is `None` under the heuristic fallback.
 pub(crate) fn learn_decisions_with_model(
     netlist: &Netlist,
     placement: &Placement,
-    tech: &gnnmls_netlist::TechConfig,
+    tech: &TechConfig,
     cfg: &FlowConfig,
-    sta_cfg: StaConfig,
 ) -> Result<(DecisionsCheckpoint, Option<GnnMls>), FlowError> {
     let fallback = |retries: u32| DecisionsCheckpoint {
         selected: Vec::new(),
@@ -739,20 +773,22 @@ pub(crate) fn learn_decisions_with_model(
         model_fallback: true,
         training_retries: retries,
     };
-    let mut router = Router::new(
+    let Routed {
+        router,
+        routes,
+        timing: baseline,
+    } = route_and_time(
         netlist,
         placement,
         tech,
-        MlsPolicy::Disabled,
-        cfg.route_cfg(),
+        &MlsPolicy::Disabled,
+        cfg,
+        "baseline",
     )?;
-    router.route_all()?;
-    let routes = router.db()?;
-    let baseline = analyze(netlist, &routes, sta_cfg)?;
 
     let total = baseline.endpoint_count();
     let infer_k = cfg.inference_paths.min(total);
-    let mut infer = {
+    let infer = {
         let mut s = gnnmls_obs::span("paths");
         let infer =
             extract_path_samples_par(netlist, placement, tech, &baseline, infer_k, cfg.threads);
@@ -867,7 +903,6 @@ pub(crate) fn learn_decisions_with_model(
     // Decide over the full inference set; for the paths the oracle
     // already labeled, use the exact labels (the model's job is to extend
     // them to unlabeled paths, not to re-predict known answers).
-    infer.truncate(infer_k);
     let mut selected: HashSet<NetId> = decide(&model, &infer)?.into_iter().collect();
     for s in &labeled {
         if s.path.slack_ps >= 0.0 {
@@ -915,7 +950,7 @@ fn decide(model: &GnnMls, infer: &[PathSample]) -> Result<Vec<NetId>, ModelError
 fn pdn_for_design(
     netlist: &Netlist,
     placement: &Placement,
-    tech: &gnnmls_netlist::TechConfig,
+    tech: &TechConfig,
     power: &PowerReport,
     cfg: &FlowConfig,
 ) -> (PdnSummary, f64, bool) {

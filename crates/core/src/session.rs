@@ -12,10 +12,13 @@
 //! what-if and inference queries without re-paying the cold start: the
 //! prepared netlist and placement, the routed DB plus the congestion
 //! scale it settled at, the extracted inference path samples, and (for
-//! the GNN-MLS policy) the trained model. Building one costs a full
-//! place + route + STA; answering a query against it only costs a
-//! usage-map restore plus one detached search, which is what makes the
-//! `gnnmls-serve` warm cache ≥10× cheaper than a one-shot CLI run.
+//! the GNN-MLS policy) the trained model. [`DesignSession::build`] runs
+//! the flow's own stages — [`crate::flow::prepare`], the GNN-MLS
+//! learning stage, and [`crate::flow::route_and_time`] — so it costs a
+//! full place + route + audit + STA; answering a query against it only
+//! costs a usage-map restore plus one detached search, which is what
+//! makes the `gnnmls-serve` warm cache ≥10× cheaper than a one-shot CLI
+//! run.
 //!
 //! Determinism contract: a warm session's [`DesignSession::what_if`] is
 //! bit-identical to a cold one-shot run of the same spec, because
@@ -35,10 +38,11 @@ use gnnmls_netlist::tech::TechConfig;
 use gnnmls_netlist::{NetId, Netlist};
 use gnnmls_phys::Placement;
 use gnnmls_route::{AuditMode, MlsOverride, MlsPolicy, RouteConfig, RouteDb, Router, RoutingGrid};
-use gnnmls_sta::{analyze, StaConfig};
 
 use crate::checkpoint::fnv1a64;
-use crate::flow::{learn_decisions_with_model, prepare, FlowConfig, FlowError, FlowPolicy};
+use crate::flow::{
+    learn_decisions_with_model, prepare, route_and_time, FlowConfig, FlowError, FlowPolicy, Routed,
+};
 use crate::model::GnnMls;
 use crate::paths::{extract_path_samples_par, PathSample};
 
@@ -369,11 +373,6 @@ impl From<gnnmls_route::RouteError> for SessionError {
         SessionError::Flow(FlowError::Route(e))
     }
 }
-impl From<gnnmls_sta::StaError> for SessionError {
-    fn from(e: gnnmls_sta::StaError) -> Self {
-        SessionError::Flow(FlowError::Sta(e))
-    }
-}
 
 /// The answer to a what-if query: the route this net would get under
 /// the requested MLS override, summarized. Deterministic — a warm and
@@ -457,7 +456,7 @@ pub struct DesignSession {
 
 impl DesignSession {
     /// Cold build: generate, prepare, (for GNN-MLS: label + train),
-    /// route, run STA, and extract the inference sample set.
+    /// route, audit, run STA, and extract the inference sample set.
     ///
     /// # Errors
     ///
@@ -474,49 +473,32 @@ impl DesignSession {
         let cfg = spec.flow_config();
         let (netlist, placement) = prepare(&design, &cfg)?;
         let tech = design.tech;
-        let sta_cfg = StaConfig::from_freq_mhz(spec.target_freq_mhz);
 
         let (route_policy, model) = match spec.policy {
             FlowPolicy::NoMls => (MlsPolicy::Disabled, None),
             FlowPolicy::Sota => (MlsPolicy::sota(), None),
             FlowPolicy::GnnMls => {
-                let (d, model) =
-                    learn_decisions_with_model(&netlist, &placement, &tech, &cfg, sta_cfg)?;
-                let policy = if d.model_fallback {
-                    MlsPolicy::sota()
-                } else {
-                    MlsPolicy::per_net_from(&netlist, d.selected)
-                };
-                (policy, model)
+                let (d, model) = learn_decisions_with_model(&netlist, &placement, &tech, &cfg)?;
+                (d.route_policy(&netlist), model)
             }
         };
 
-        let route_cfg = cfg.route_cfg();
-        let mut router = Router::new(
+        // The audited DB is what every warm query later consumes.
+        let Routed {
+            router,
+            routes,
+            timing: report,
+        } = route_and_time(
             &netlist,
             &placement,
             &tech,
-            route_policy.clone(),
-            route_cfg.clone(),
+            &route_policy,
+            &cfg,
+            "session-build",
         )?;
-        router.route_all()?;
-        let routes = router.db()?;
         let congestion_scale = router.congestion_scale();
         let grid = router.grid().clone();
         drop(router);
-
-        // Prove the freshly routed DB before anything downstream —
-        // STA here, and every warm query later — consumes it.
-        crate::audit::check_routes(
-            &netlist,
-            &grid,
-            &route_policy,
-            &routes,
-            gnnmls_route::AuditMode::Full,
-            "session-build",
-        )?;
-
-        let report = analyze(&netlist, &routes, sta_cfg)?;
         let timing = SessionTiming {
             wns_ps: report.wns_ps(),
             endpoints: report.endpoint_count() as u64,
@@ -532,7 +514,7 @@ impl DesignSession {
             netlist,
             placement,
             route_policy,
-            route_cfg,
+            route_cfg: cfg.route_cfg(),
             routes,
             grid,
             congestion_scale,

@@ -208,6 +208,23 @@ fn route_budget_exhaustion_degrades_to_pattern_and_is_reported() {
     assert!(!report.degradation.is_clean());
 }
 
+/// GNN-MLS learns from oracle labels taken on the No-MLS baseline
+/// route, so that DB is audited before anything reads it: one
+/// corrupting shot lands in the baseline snapshot, and the flow must
+/// refuse there instead of training on it.
+#[test]
+fn corrupted_baseline_route_fails_typed_before_training() {
+    let d = design();
+    let guard = install(&FaultPlan::single(FaultSite::RouteAuditCorrupt, 1));
+    let result = run_flow(&d, &fast_cfg(), FlowPolicy::GnnMls);
+    drop(guard);
+    match result {
+        Err(FlowError::AuditFailed { stage, .. }) => assert_eq!(stage, "baseline"),
+        Err(e) => panic!("expected a baseline audit failure, got {e}"),
+        Ok(r) => panic!("trained on a corrupted baseline ({} MLS nets)", r.mls_nets),
+    }
+}
+
 #[test]
 fn nan_gradient_retries_and_the_retry_is_reported() {
     let d = design();

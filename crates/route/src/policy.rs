@@ -54,11 +54,6 @@ impl MlsPolicy {
         }
         MlsPolicy::PerNet(flags)
     }
-
-    /// Whether the policy needs a [`SotaShareMap`].
-    pub fn needs_share_map(&self) -> bool {
-        matches!(self, MlsPolicy::SotaRegionSharing { .. })
-    }
 }
 
 /// Per-g-cell record of region-level sharing decisions.

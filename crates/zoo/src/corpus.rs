@@ -3,15 +3,17 @@
 //! A corpus is a sweep over the seeded netlist generators: for each
 //! requested family (`maeri` / `a7` / `noc`), a couple of design
 //! variants at several generator seeds, each taken through the exact
-//! baseline pipeline the flow uses — place, ECO, no-MLS route, STA,
-//! worst-path extraction — plus an oracle-labeled subset for
+//! baseline pipeline the flow's learning stage uses — place and ECO
+//! ([`gnn_mls::flow::prepare`]), then the flow's one route → audit →
+//! STA stage ([`gnn_mls::flow::route_and_time`]) with MLS disabled,
+//! then worst-path extraction — plus an oracle-labeled subset for
 //! fine-tuning. Every design records its
 //! [`gnnmls_netlist::Netlist::content_hash`] so a trained checkpoint can name exactly
 //! what it was trained on.
 
 use serde::{Deserialize, Serialize};
 
-use gnn_mls::flow::{prepare, FlowConfig};
+use gnn_mls::flow::{prepare, route_and_time, FlowConfig};
 use gnn_mls::oracle::{label_paths, OracleConfig, OracleStats};
 use gnn_mls::paths::{extract_path_samples_par, PathSample};
 use gnn_mls::session::build_tech;
@@ -20,8 +22,7 @@ use gnnmls_netlist::generators::{
     generate_a7, generate_maeri, generate_noc, A7Config, GeneratedDesign, MaeriConfig, NocConfig,
 };
 use gnnmls_netlist::tech::TechConfig;
-use gnnmls_route::{MlsPolicy, Router};
-use gnnmls_sta::{analyze, StaConfig};
+use gnnmls_route::MlsPolicy;
 
 use crate::ZooError;
 
@@ -140,19 +141,6 @@ impl Corpus {
         h
     }
 
-    /// Sorted content hashes of one family's designs.
-    pub fn family_hashes(&self, family: &str) -> Vec<u64> {
-        let mut h: Vec<u64> = self
-            .designs
-            .iter()
-            .filter(|d| d.family == family)
-            .map(|d| d.content_hash)
-            .collect();
-        h.sort_unstable();
-        h.dedup();
-        h
-    }
-
     /// Every unlabeled sample across all designs, in corpus order —
     /// the cross-design DGI pretraining set.
     pub fn unlabeled(&self) -> Vec<PathSample> {
@@ -242,7 +230,7 @@ fn family_tech(family: &str) -> Result<TechConfig, ZooError> {
 }
 
 /// Builds one design's corpus entry: prepare → baseline (no-MLS) route
-/// → STA → worst-path extraction → oracle labels on the prefix.
+/// → audit → STA → worst-path extraction → oracle labels on the prefix.
 fn build_design_entry(
     family: &str,
     variant: &str,
@@ -252,25 +240,19 @@ fn build_design_entry(
     cfg: &CorpusConfig,
 ) -> Result<CorpusDesign, ZooError> {
     let (netlist, placement) = prepare(design, flow_cfg)?;
-    let mut router = Router::new(
+    let base = route_and_time(
         &netlist,
         &placement,
         &design.tech,
-        MlsPolicy::Disabled,
-        flow_cfg.route_cfg(),
-    )?;
-    router.route_all()?;
-    let routes = router.db()?;
-    let timing = analyze(
-        &netlist,
-        &routes,
-        StaConfig::from_freq_mhz(cfg.target_freq_mhz),
+        &MlsPolicy::Disabled,
+        flow_cfg,
+        "corpus",
     )?;
     let samples = extract_path_samples_par(
         &netlist,
         &placement,
         &design.tech,
-        &timing,
+        &base.timing,
         cfg.paths_per_design,
         cfg.threads,
     );
@@ -279,8 +261,8 @@ fn build_design_entry(
     let oracle = label_paths(
         &mut labeled,
         &netlist,
-        &router,
-        &routes,
+        &base.router,
+        &base.routes,
         &OracleConfig::default(),
     )?;
     Ok(CorpusDesign {

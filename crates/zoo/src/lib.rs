@@ -106,15 +106,3 @@ impl From<gnnmls_netlist::NetlistError> for ZooError {
         ZooError::Flow(e.into())
     }
 }
-
-impl From<gnnmls_route::RouteError> for ZooError {
-    fn from(e: gnnmls_route::RouteError) -> Self {
-        ZooError::Flow(e.into())
-    }
-}
-
-impl From<gnnmls_sta::StaError> for ZooError {
-    fn from(e: gnnmls_sta::StaError) -> Self {
-        ZooError::Flow(e.into())
-    }
-}

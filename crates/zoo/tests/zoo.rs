@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use gnn_mls::checkpoint::{ModelVersion, ZooModelCheckpoint};
 use gnn_mls::model::GnnMls;
-use gnn_mls::ModelConfig;
+use gnn_mls::{FlowError, ModelConfig};
 use gnnmls_faults::{install, FaultPlan, FaultSite};
 use gnnmls_zoo::{build_corpus, train_zoo, CorpusConfig, Registry, ZooError};
 
@@ -43,6 +43,24 @@ fn corpus_build_is_deterministic() {
     assert!(!a.is_empty());
     assert!(a.labeled("noc").is_empty());
     assert_eq!(a.families(), vec!["noc".to_string()]);
+}
+
+/// The corpus is every zoo checkpoint's ground truth, so each design's
+/// baseline route DB is audited before paths are extracted or labeled
+/// from it: one corrupting shot must fail the build typed.
+#[test]
+fn corrupted_corpus_route_fails_typed() {
+    let guard = install(&FaultPlan::single(FaultSite::RouteAuditCorrupt, 1));
+    let result = build_corpus(&CorpusConfig::tiny());
+    drop(guard);
+    match result {
+        Err(ZooError::Flow(FlowError::AuditFailed { stage, .. })) => assert_eq!(stage, "corpus"),
+        Err(e) => panic!("expected a corpus audit failure, got {e}"),
+        Ok(c) => panic!(
+            "built a corpus on a corrupted DB ({} designs)",
+            c.designs.len()
+        ),
+    }
 }
 
 /// The tentpole pipeline: tiny two-family corpus → cross-corpus DGI

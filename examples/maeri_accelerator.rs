@@ -7,14 +7,13 @@
 //! cargo run --release --example maeri_accelerator
 //! ```
 
-use gnn_mls::flow::{prepare, run_flow, FlowConfig, FlowPolicy};
+use gnn_mls::flow::{prepare, route_and_time, run_flow, FlowConfig, FlowPolicy, Routed};
 use gnn_mls::oracle::{net_mls_impact, NetImpact};
 use gnn_mls::paths::extract_path_samples;
 use gnnmls_netlist::generators::{generate_maeri, MaeriConfig};
 use gnnmls_netlist::stats::NetlistStats;
 use gnnmls_netlist::tech::TechConfig;
-use gnnmls_route::{MlsPolicy, Router};
-use gnnmls_sta::{analyze, StaConfig};
+use gnnmls_route::MlsPolicy;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tech = TechConfig::heterogeneous_16_28(6, 6);
@@ -25,24 +24,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Net-level motivation: MLS helps some nets and hurts others.
     let (netlist, placement) = prepare(&design, &cfg)?;
-    let mut router = Router::new(
+    let Routed {
+        router,
+        routes,
+        timing,
+    } = route_and_time(
         &netlist,
         &placement,
         &tech,
-        MlsPolicy::Disabled,
-        cfg.route.clone(),
+        &MlsPolicy::Disabled,
+        &cfg,
+        "baseline",
     )?;
-    router.route_all()?;
-    let routes = router.db()?;
-    let timing = analyze(&netlist, &routes, StaConfig::from_freq_mhz(2500.0))?;
     println!(
         "baseline: WNS {:.1} ps, {} violating endpoints",
         timing.wns_ps(),
         timing.violating_endpoints()
     );
     let samples = extract_path_samples(&netlist, &placement, &tech, &timing, 50);
-    let grid = router.grid().clone();
-    let impacts = net_mls_impact(&samples, &netlist, &router, &routes, &grid)?;
+    let impacts = net_mls_impact(&samples, &netlist, &router, &routes, router.grid())?;
     if let (Some(best), Some(worst)) = (impacts.first(), impacts.last()) {
         println!(
             "single-net MLS: best {} {:+.1} ps ({} -> {}), worst {} {:+.1} ps",
