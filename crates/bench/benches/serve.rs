@@ -1,5 +1,4 @@
-//! Cold-start vs warm-daemon what-if latency, and batched vs unbatched
-//! inference throughput, for `gnnmls-serve`.
+//! Cold-start vs warm-daemon what-if latency for `gnnmls-serve`.
 //!
 //! The daemon exists because the cold start (generate, place, train,
 //! route, analyze) dwarfs the marginal cost of a what-if query. This
@@ -7,27 +6,21 @@
 //! [`DesignSession::build`] plus the first query) against the warm path
 //! (a TCP round-trip to an already-loaded daemon), asserts the warm
 //! answer is bit-identical to the cold one and **at least 10× faster**,
-//! and measures the micro-batching win (one batched forward pass
-//! serving B requests vs B solo forward passes — also bit-identical).
-//! Results land in `target/bench/BENCH_serve.json` (the committed
-//! root-level ledger only behind `--commit-baseline`).
+//! and holds an idle-connection storm open to show what it does to the
+//! warm p99 and the RSS. Results land in `target/bench/BENCH_serve.json`
+//! (the committed root-level ledger only behind `--commit-baseline`).
 
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 
-use gnn_mls::flow::FlowPolicy;
 use gnn_mls::session::{DesignSession, SessionSpec};
 use gnnmls_reactor::net::raise_nofile_limit;
 use gnnmls_serve::protocol::ResponseKind;
 use gnnmls_serve::{Client, ServeConfig, Server};
 
 const NET: u32 = 0;
-/// Requests coalesced into one forward pass by the batching benchmark.
-const BATCH: usize = 8;
-/// Paths per inference request.
-const PATHS: usize = 16;
 /// Idle connections held open during the reactor soak (full mode).
 const SOAK_CONNECTIONS: usize = 10_000;
 /// Soak size in smoke mode (CI test runs).
@@ -47,16 +40,6 @@ struct ServeBenchReport {
     cold_over_warm: f64,
     /// Warm answers match the cold session bit-for-bit (asserted).
     warm_bit_identical: bool,
-    batch: usize,
-    paths: usize,
-    /// B solo forward passes, in milliseconds.
-    unbatched_ms: f64,
-    /// One batched forward pass serving all B requests, in ms.
-    batched_ms: f64,
-    /// unbatched / batched throughput gain for the same answers.
-    batch_speedup: f64,
-    /// Batched answers match unbatched bit-for-bit (asserted).
-    batch_bit_identical: bool,
     /// Idle connections held open during the reactor soak (0 when the
     /// fd limit could not be raised).
     soak_connections: usize,
@@ -254,46 +237,12 @@ fn bench_serve(c: &mut Criterion) {
     drop(soak_client);
     server.shutdown();
 
-    // --- Batched vs unbatched inference (session level, no socket, so
-    // the comparison isolates the forward-pass coalescing itself). ----
-    let gnn_spec = spec.clone().with_policy(FlowPolicy::GnnMls);
-    let session = DesignSession::build(&gnn_spec).unwrap();
-    let model = session.model().expect("GnnMls session carries a model");
-    let k = PATHS.min(session.samples().len());
-
-    let solo = session.infer(k).unwrap();
-    let probs = model.predict_paths(&session.samples()[..k]).unwrap();
-    for _ in 0..BATCH {
-        assert_eq!(
-            session.infer_from_probs(k, &probs),
-            solo,
-            "a batched inference answer must match the unbatched one"
-        );
-    }
-    let unbatched = min_wall(iters, || {
-        for _ in 0..BATCH {
-            session.infer(k).unwrap();
-        }
-    });
-    let batched = min_wall(iters, || {
-        let probs = model.predict_paths(&session.samples()[..k]).unwrap();
-        for _ in 0..BATCH {
-            session.infer_from_probs(k, &probs);
-        }
-    });
-
     let report = ServeBenchReport {
         design: "MAERI 16PE (fast)".into(),
         cold_ms: cold.as_secs_f64() * 1e3,
         warm_ms: warm.as_secs_f64() * 1e3,
         cold_over_warm,
         warm_bit_identical: true,
-        batch: BATCH,
-        paths: k,
-        unbatched_ms: unbatched.as_secs_f64() * 1e3,
-        batched_ms: batched.as_secs_f64() * 1e3,
-        batch_speedup: unbatched.as_secs_f64() / batched.as_secs_f64().max(1e-12),
-        batch_bit_identical: true,
         soak_connections: conns,
         soak_baseline_p99_ms: baseline_p99,
         soak_p99_ms: soak_p99,
@@ -307,13 +256,10 @@ fn bench_serve(c: &mut Criterion) {
     let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     if let Some(out) = gnnmls_bench::render::write_bench_json(root, "BENCH_serve.json", &report) {
         println!(
-            "cold {:.1} ms, warm {:.3} ms ({:.0}x); batch x{} {:.2} -> {:.2} ms -> {}",
+            "cold {:.1} ms, warm {:.3} ms ({:.0}x) -> {}",
             report.cold_ms,
             report.warm_ms,
             report.cold_over_warm,
-            BATCH,
-            report.unbatched_ms,
-            report.batched_ms,
             out.display(),
         );
     }
@@ -324,21 +270,6 @@ fn bench_serve(c: &mut Criterion) {
     let mut g = c.benchmark_group("serve");
     g.bench_function("warm_what_if_roundtrip", |b| {
         b.iter(|| client.what_if(&spec, NET, true, None).unwrap().kind)
-    });
-    g.bench_function("infer_unbatched_x8", |b| {
-        b.iter(|| {
-            for _ in 0..BATCH {
-                session.infer(k).unwrap();
-            }
-        })
-    });
-    g.bench_function("infer_batched_x8", |b| {
-        b.iter(|| {
-            let probs = model.predict_paths(&session.samples()[..k]).unwrap();
-            for _ in 0..BATCH {
-                session.infer_from_probs(k, &probs);
-            }
-        })
     });
     g.finish();
     server.shutdown();

@@ -551,11 +551,6 @@ impl DesignSession {
         .map_err(SessionError::Flow)
     }
 
-    /// The inference path samples held warm (worst paths first).
-    pub fn samples(&self) -> &[PathSample] {
-        &self.samples
-    }
-
     /// The trained model, when the policy carries one.
     pub fn model(&self) -> Option<&GnnMls> {
         self.model.as_ref()
@@ -625,8 +620,8 @@ impl DesignSession {
         })
     }
 
-    /// Runs MLS inference over the worst `k` warm samples in one model
-    /// forward pass.
+    /// Runs MLS inference over the worst `k` warm samples with the
+    /// session's own trained model (see [`DesignSession::infer_with`]).
     ///
     /// # Errors
     ///
@@ -634,25 +629,25 @@ impl DesignSession {
     /// `GnnMls` with a usable model.
     pub fn infer(&self, k: usize) -> Result<InferResult, SessionError> {
         let model = self.model.as_ref().ok_or(SessionError::NoModel)?;
-        let k = k.min(self.samples.len());
-        let probs = model
-            .predict_paths(&self.samples[..k])
-            .map_err(FlowError::Model)?;
-        Ok(self.infer_from_probs(k, &probs))
+        self.infer_with(model, k)
     }
 
-    /// Aggregates precomputed per-node probabilities for the worst `k`
-    /// samples into an [`InferResult`] — the same rule as
-    /// [`GnnMls::decide`] (max probability per net over eligible nodes
-    /// of violating paths, threshold 0.5). The serve daemon coalesces
-    /// several queued inference requests into a single
-    /// [`GnnMls::predict_paths`] call and splits the probabilities back
-    /// through here, so batched and unbatched answers are bit-identical.
-    pub fn infer_from_probs(&self, k: usize, probs: &[Vec<f32>]) -> InferResult {
-        let k = k.min(self.samples.len()).min(probs.len());
+    /// Runs MLS inference over the worst `k` warm samples (clamped to
+    /// the sample set) with `model`, in one forward pass. The serve
+    /// daemon passes a hot-swapped zoo model here. A net is selected by
+    /// the rule of [`GnnMls::decide`]: its maximum probability over
+    /// eligible nodes of violating paths exceeds 0.5.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SessionError::Flow`] wrapping [`FlowError::Model`]
+    /// when the forward pass fails.
+    pub fn infer_with(&self, model: &GnnMls, k: usize) -> Result<InferResult, SessionError> {
+        let samples = &self.samples[..k.min(self.samples.len())];
+        let probs = model.predict_paths(samples).map_err(FlowError::Model)?;
         let mut best: HashMap<NetId, f32> = HashMap::new();
         let mut max_prob = 0.0f32;
-        for (s, p) in self.samples[..k].iter().zip(probs) {
+        for (s, p) in samples.iter().zip(&probs) {
             for &v in p {
                 max_prob = max_prob.max(v);
             }
@@ -675,11 +670,11 @@ impl DesignSession {
             .map(|(n, _)| n.index() as u32)
             .collect();
         selected.sort_unstable();
-        InferResult {
-            paths: k as u64,
+        Ok(InferResult {
+            paths: samples.len() as u64,
             selected_nets: selected,
             max_prob: f64::from(max_prob),
-        }
+        })
     }
 
     /// Stats snapshot.
@@ -889,17 +884,19 @@ mod tests {
     }
 
     #[test]
-    fn gnnmls_session_batched_inference_matches_unbatched() {
+    fn gnnmls_session_infer_with_restored_model_matches_infer() {
         let spec = fast_spec().with_policy(FlowPolicy::GnnMls);
         let session = DesignSession::build(&spec).unwrap();
         let model = session.model().expect("gnn-mls session keeps its model");
-        let k = session.samples().len().min(20);
-        let unbatched = session.infer(k).unwrap();
-        // Simulate the serve micro-batch: one forward pass, then the
-        // shared aggregation.
-        let probs = model.predict_paths(&session.samples()[..k]).unwrap();
-        let batched = session.infer_from_probs(k, &probs);
-        assert_eq!(unbatched, batched);
+        // What a hot swap serves: the same weights, restored from a
+        // checkpoint into a model the session does not own.
+        let swapped = GnnMls::from_checkpoint(model.to_checkpoint()).unwrap();
+        let samples = usize::try_from(session.stats().samples).unwrap();
+        for k in [1, 20, samples + 5] {
+            let own = session.infer(k).unwrap();
+            assert_eq!(session.infer_with(&swapped, k).unwrap(), own, "k = {k}");
+            assert_eq!(own.paths, k.min(samples) as u64);
+        }
     }
 
     #[test]

@@ -520,13 +520,6 @@ pub mod queue {
             }
         }
 
-        /// Drains every currently queued job without blocking. Used by
-        /// batching consumers to coalesce queued work into one pass.
-        pub fn drain(&self) -> Vec<T> {
-            let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            inner.jobs.drain(..).collect()
-        }
-
         /// Closes the queue: new pushes fail, consumers drain what is
         /// left and then see `None`.
         pub fn close(&self) {
@@ -697,7 +690,8 @@ mod tests {
         }
         assert_eq!(q.pop(), Some(1));
         assert!(q.try_push(3).is_ok());
-        assert_eq!(q.drain(), vec![2, 3]);
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), Some(3));
         q.close();
         match q.try_push(4) {
             Err((4, queue::PushError::Closed)) => {}

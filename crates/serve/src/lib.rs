@@ -1,5 +1,5 @@
-//! **gnnmls-serve** — a batched, backpressured what-if/inference daemon
-//! with a warm design cache.
+//! **gnnmls-serve** — a backpressured what-if/inference daemon with a
+//! warm design cache.
 //!
 //! The GNN-MLS flow's expensive part is the cold start: generate,
 //! place, (train,) route, and analyze a design before the first what-if
@@ -22,9 +22,9 @@
 //!   breakers and the client's retries share;
 //! - [`server`] — the daemon's side of the plane (connection-level
 //!   admission) + bounded job queue (explicit `Busy` backpressure,
-//!   never unbounded growth) + worker pool with inference
-//!   micro-batching + LRU session cache + quarantine circuit breaker +
-//!   worker watchdog + graceful drain-on-shutdown;
+//!   never unbounded growth) + worker pool answering one popped job at
+//!   a time + LRU session cache + quarantine circuit breaker + worker
+//!   watchdog + graceful drain-on-shutdown;
 //! - [`client`] — a small blocking client with capped, seeded-jitter
 //!   retries, used by the `gnnmls client` CLI and the tests;
 //! - [`api`] — the unified serving facade: the [`api::ServeError`]
@@ -44,8 +44,9 @@
 //! driver live in the `gnnmls` binary, their only caller.
 //!
 //! Determinism contract: a warm answer is bit-identical to the one-shot
-//! CLI computing the same query, and a micro-batched inference response
-//! is bit-identical to the unbatched one (asserted in the tests).
+//! CLI or an in-process [`gnn_mls::DesignSession`] computing the same
+//! query; after a hot swap, inference answers as
+//! [`gnn_mls::DesignSession::infer_with`] does with the same weights.
 
 // Library code surfaces typed errors and obs events, never panics or
 // raw prints (the CLI binary is the only place that talks to stdout).

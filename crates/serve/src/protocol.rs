@@ -331,11 +331,6 @@ pub struct ServerStats {
     pub cache_evictions: u64,
     /// Sessions currently held warm.
     pub cached_sessions: u64,
-    /// Inference requests answered from a coalesced (size > 1) forward
-    /// pass.
-    pub batched_inferences: u64,
-    /// Largest inference micro-batch coalesced so far.
-    pub max_batch: u64,
     /// Stats of the requested spec's session, when it is cached.
     pub session: Option<SessionStats>,
 }

@@ -14,13 +14,11 @@
 //! response, so memory use is bounded no matter how many clients pile
 //! on — ten thousand idle connections cost ten thousand fd slots and
 //! small buffers, not ten thousand threads.
-//! A small worker pool pops jobs behind the queue; when a worker picks
-//! up an `InferMls` job it drains whatever else is queued and coalesces
-//! the inference requests that share a session into **one** batched
-//! model forward pass ([`gnn_mls::GnnMls::predict_paths`]), splitting
-//! the probabilities back per request — bit-identical to serving them
-//! one by one. Workers hand finished responses back to the loop through
-//! a completion queue plus a self-pipe [`gnnmls_reactor::Waker`].
+//! A small worker pool pops jobs behind the queue, one at a time: a
+//! worker parks each job in its supervision slot, then answers it on
+//! its own, so jobs start in queue order. Workers hand finished
+//! responses back to the loop through a completion queue plus a
+//! self-pipe [`gnnmls_reactor::Waker`].
 //!
 //! Sessions are cached warm in an LRU keyed by
 //! [`SessionSpec::cache_key`]; a hit answers a what-if with a usage-map
@@ -94,11 +92,6 @@ static CACHE_HITS: gnnmls_obs::Counter = gnnmls_obs::Counter::new(
 static CACHE_MISSES: gnnmls_obs::Counter = gnnmls_obs::Counter::new(
     "gnnmls_serve_cache_misses_total",
     "queries that had to cold-build a session",
-);
-static BATCH_SIZE: gnnmls_obs::Histogram = gnnmls_obs::Histogram::new(
-    "gnnmls_serve_infer_batch_size",
-    "inference requests coalesced into one model forward pass",
-    &[1, 2, 4, 8, 16, 32, 64],
 );
 static REACTOR: LoopMetrics = LoopMetrics {
     wakeups: gnnmls_obs::Counter::new(
@@ -369,8 +362,6 @@ struct Counters {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_evictions: AtomicU64,
-    batched_inferences: AtomicU64,
-    max_batch: AtomicU64,
     rejected: AtomicU64,
     quarantined: AtomicU64,
     shed: AtomicU64,
@@ -416,12 +407,28 @@ struct ZooModel {
     model: gnn_mls::GnnMls,
 }
 
-/// Outcome of a session lookup: the quarantine gate sits between the
-/// cache and the build.
-enum SessionGate {
-    Ready(Arc<DesignSession>),
+/// Why a job gets no session: its spec's circuit is open, or the cold
+/// build or the warm-hit audit failed.
+enum Refusal {
     Quarantined { strikes: u32, remaining_ms: u64 },
     Failed(SessionError),
+}
+
+impl Refusal {
+    /// The one response for a refused job, at admission or in a worker.
+    fn response(self, id: u64) -> Response {
+        match self {
+            Refusal::Quarantined {
+                strikes,
+                remaining_ms,
+            } => Response::quarantined(
+                id,
+                format!("session build circuit-broken after {strikes} consecutive failures"),
+                remaining_ms,
+            ),
+            Refusal::Failed(e) => Response::error(id, e),
+        }
+    }
 }
 
 struct Shared {
@@ -482,7 +489,7 @@ impl Shared {
     /// gated by the quarantine breaker. Warm hits are re-audited in
     /// cheap mode; a corrupted session is dropped from the cache and
     /// the hit turns into a typed failure (the next request rebuilds).
-    fn session(&self, spec: &SessionSpec) -> SessionGate {
+    fn session(&self, spec: &SessionSpec) -> Result<Arc<DesignSession>, Refusal> {
         let key = spec.cache_key();
         if let Some(s) = lock(&self.cache).get(key) {
             self.counters.cache_hits.fetch_add(1, Ordering::SeqCst);
@@ -490,29 +497,29 @@ impl Shared {
             if let Err(e) = s.audit(AuditMode::Cheap) {
                 self.counters.audit_failures.fetch_add(1, Ordering::SeqCst);
                 lock(&self.cache).remove(key);
-                return SessionGate::Failed(e);
+                return Err(Refusal::Failed(e));
             }
-            return SessionGate::Ready(s);
+            return Ok(s);
         }
         if let Some((strikes, remaining_ms)) = self.quarantine_remaining(key) {
-            return SessionGate::Quarantined {
+            return Err(Refusal::Quarantined {
                 strikes,
                 remaining_ms,
-            };
+            });
         }
         let _build = lock(&self.build_lock);
         if let Some(s) = lock(&self.cache).get(key) {
             self.counters.cache_hits.fetch_add(1, Ordering::SeqCst);
             CACHE_HITS.inc();
-            return SessionGate::Ready(s);
+            return Ok(s);
         }
         // Re-check under the lock: the circuit may have opened while we
         // waited behind the build that struck out.
         if let Some((strikes, remaining_ms)) = self.quarantine_remaining(key) {
-            return SessionGate::Quarantined {
+            return Err(Refusal::Quarantined {
                 strikes,
                 remaining_ms,
-            };
+            });
         }
         self.counters.cache_misses.fetch_add(1, Ordering::SeqCst);
         CACHE_MISSES.inc();
@@ -527,12 +534,12 @@ impl Shared {
                 self.counters
                     .cache_evictions
                     .fetch_add(evicted, Ordering::SeqCst);
-                SessionGate::Ready(built)
+                Ok(built)
             }
             Err(e) => {
                 build_span.field_bool("ok", false);
                 self.record_build_failure(key);
-                SessionGate::Failed(e)
+                Err(Refusal::Failed(e))
             }
         }
     }
@@ -620,14 +627,6 @@ impl Shared {
         }
     }
 
-    fn quarantined_response(id: u64, strikes: u32, remaining_ms: u64) -> Response {
-        Response::quarantined(
-            id,
-            format!("session build circuit-broken after {strikes} consecutive failures"),
-            remaining_ms,
-        )
-    }
-
     fn health(&self) -> HealthStatus {
         let mut quarantine: Vec<QuarantineInfo> = lock(&self.quarantine)
             .iter()
@@ -657,8 +656,6 @@ impl Shared {
             cache_misses: c.cache_misses.load(Ordering::SeqCst),
             cache_evictions: c.cache_evictions.load(Ordering::SeqCst),
             cached_sessions: cache.len() as u64,
-            batched_inferences: c.batched_inferences.load(Ordering::SeqCst),
-            max_batch: c.max_batch.load(Ordering::SeqCst),
             rejected: c.rejected.load(Ordering::SeqCst),
             quarantined: c.quarantined.load(Ordering::SeqCst),
             shed: c.shed.load(Ordering::SeqCst),
@@ -720,12 +717,8 @@ impl Shared {
             return Response::error(req.id, "what-if request is missing `net`");
         };
         let session = match self.session(&req.spec) {
-            SessionGate::Ready(s) => s,
-            SessionGate::Quarantined {
-                strikes,
-                remaining_ms,
-            } => return Self::quarantined_response(req.id, strikes, remaining_ms),
-            SessionGate::Failed(e) => return Response::error(req.id, e),
+            Ok(s) => s,
+            Err(refusal) => return refusal.response(req.id),
         };
         let budget = req.deadline_expansions.map(|e| e as usize);
         match session.what_if(net, req.allow_mls.unwrap_or(true), budget) {
@@ -734,87 +727,29 @@ impl Shared {
         }
     }
 
-    /// Serves a group of `InferMls` jobs that share one spec with a
-    /// single batched forward pass.
-    fn infer_group(&self, group: Vec<Job>) {
-        let Some(first) = group.first() else { return };
-        let n = group.len() as u64;
-        self.counters.max_batch.fetch_max(n, Ordering::SeqCst);
-        BATCH_SIZE.observe(n);
-        if n > 1 {
-            self.counters
-                .batched_inferences
-                .fetch_add(n, Ordering::SeqCst);
-        }
-        let session = match self.session(&first.req.spec) {
-            SessionGate::Ready(s) => s,
-            SessionGate::Quarantined {
-                strikes,
-                remaining_ms,
-            } => {
-                for job in group {
-                    let id = job.req.id;
-                    self.respond(job, Self::quarantined_response(id, strikes, remaining_ms));
-                }
-                return;
-            }
-            SessionGate::Failed(e) => {
-                let why = e.to_string();
-                for job in group {
-                    let id = job.req.id;
-                    self.respond(job, Response::error(id, &why));
-                }
-                return;
-            }
+    /// Answers an `InferMls` request, stamped with the model that
+    /// computed it: a hot-swapped zoo version, or `"builtin"` for the
+    /// session's own trained model.
+    fn infer_response(&self, req: &Request) -> Response {
+        let session = match self.session(&req.spec) {
+            Ok(s) => s,
+            Err(refusal) => return refusal.response(req.id),
         };
-        let ks: Vec<usize> = group
-            .iter()
-            .map(|j| {
-                (j.req.paths.unwrap_or(DEFAULT_INFER_PATHS) as usize).min(session.samples().len())
-            })
-            .collect();
-        let kmax = ks.iter().copied().max().unwrap_or(0);
+        let k = req.paths.unwrap_or(DEFAULT_INFER_PATHS) as usize;
         // A hot-swapped zoo model overrides the session's built-in one.
-        // The `Arc` cloned here outlives any concurrent swap: this
-        // whole group finishes on the weights it started with.
-        let zoo = self.zoo_model(&first.req.spec.design);
-        let version: &str = zoo.as_ref().map_or("builtin", |z| z.version.as_str());
-        let model = match &zoo {
-            Some(z) => &z.model,
-            None => match session.model() {
-                Some(m) => m,
-                None => {
-                    for job in group {
-                        let id = job.req.id;
-                        self.respond(job, Response::error(id, SessionError::NoModel));
-                    }
-                    return;
-                }
-            },
+        // The `Arc` cloned here outlives any concurrent swap: the
+        // request finishes on the weights it started with.
+        let answer = match self.zoo_model(&req.spec.design) {
+            Some(zoo) => session
+                .infer_with(&zoo.model, k)
+                .map(|r| (r, zoo.version.clone())),
+            None => session.infer(k).map(|r| (r, "builtin".to_string())),
         };
-        // One forward pass covers the longest request; shorter requests
-        // reuse its probability prefix — identical to solo calls because
-        // predictions are per-sample.
-        let probs = match model.predict_paths(&session.samples()[..kmax]) {
-            Ok(p) => p,
-            Err(e) => {
-                let why = e.to_string();
-                for job in group {
-                    let id = job.req.id;
-                    self.respond(job, Response::error(id, &why));
-                }
-                return;
-            }
-        };
-        for (job, k) in group.into_iter().zip(ks) {
-            let result = session.infer_from_probs(k, &probs);
-            let id = job.req.id;
-            self.respond(
-                job,
-                Response::ok(id)
-                    .with_infer(result)
-                    .with_model_version(version),
-            );
+        match answer {
+            Ok((result, version)) => Response::ok(req.id)
+                .with_infer(result)
+                .with_model_version(version),
+            Err(e) => Response::error(req.id, e),
         }
     }
 
@@ -835,11 +770,7 @@ impl Shared {
         }
         let resp = match req.kind {
             RequestKind::WhatIf => self.what_if_response(req),
-            RequestKind::InferMls => {
-                // Jobs normally reach inference via the batch path; a
-                // stray single is just a batch of one.
-                return self.infer_group(vec![job]);
-            }
+            RequestKind::InferMls => self.infer_response(req),
             RequestKind::RunFlow => {
                 let spec = &req.spec;
                 let report = spec
@@ -857,35 +788,17 @@ impl Shared {
                 let stats = self.server_stats(Some(req.spec.cache_key()));
                 Response::ok(req.id).with_stats(stats)
             }
-            // Health, Metrics, LoadModel, and Shutdown are answered at
-            // the connection; never queued.
-            RequestKind::Health => Response::ok(req.id).with_health(self.health()),
-            RequestKind::Metrics => Response::ok(req.id).with_metrics(gnnmls_obs::render()),
-            RequestKind::LoadModel => self.load_model_response(req),
-            RequestKind::Shutdown => Response::ok(req.id),
+            // The plane or `DaemonTier::dispatch` answers these before a
+            // job exists.
+            RequestKind::Health
+            | RequestKind::Metrics
+            | RequestKind::LoadModel
+            | RequestKind::Shutdown => Response::error(
+                req.id,
+                format!("`{}` is answered at the connection", kind_name(req.kind)),
+            ),
         };
         self.respond(job, resp);
-    }
-
-    fn handle_batch(&self, jobs: Vec<Job>) {
-        let mut groups: HashMap<u64, Vec<Job>> = HashMap::new();
-        let mut rest = Vec::new();
-        for job in jobs {
-            if job.req.kind == RequestKind::InferMls {
-                groups
-                    .entry(job.req.spec.cache_key())
-                    .or_default()
-                    .push(job);
-            } else {
-                rest.push(job);
-            }
-        }
-        for (_, group) in groups {
-            self.infer_group(group);
-        }
-        for job in rest {
-            self.handle(job);
-        }
     }
 }
 
@@ -913,14 +826,7 @@ fn worker_loop(shared: &Shared, slot: &WorkerSlot) {
         let Some(job) = lock(&slot.inflight).take() else {
             continue;
         };
-        if job.req.kind == RequestKind::InferMls {
-            // Micro-batch: coalesce whatever queued up behind this job.
-            let mut jobs = vec![job];
-            jobs.extend(shared.queue.drain());
-            shared.handle_batch(jobs);
-        } else {
-            shared.handle(job);
-        }
+        shared.handle(job);
     }
 }
 
@@ -1010,7 +916,11 @@ impl Tier for DaemonTier {
             {
                 shared.counters.quarantined.fetch_add(1, Ordering::SeqCst);
                 count_admission("quarantined");
-                let resp = Shared::quarantined_response(req.id, strikes, remaining_ms);
+                let resp = Refusal::Quarantined {
+                    strikes,
+                    remaining_ms,
+                }
+                .response(req.id);
                 plane.send(token, &resp);
                 return;
             }

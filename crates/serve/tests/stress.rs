@@ -1,16 +1,18 @@
 //! Threaded stress and determinism contracts: N clients × M requests
 //! with no lost or duplicated responses, `Busy` exactly when the queue
 //! is full, warm what-if answers bit-identical to a single-shot run,
-//! micro-batched inference identical to unbatched, and drain-on-shutdown
-//! writing a decodable final stats envelope.
+//! one worker answering pipelined jobs in job order, and
+//! drain-on-shutdown writing a decodable final stats envelope.
 
+use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use gnn_mls::checkpoint::load_stage;
+use gnn_mls::flow::FlowPolicy;
 use gnn_mls::session::{DesignSession, SessionSpec};
 use gnnmls_faults::{install_global, FaultPlan, FaultSite};
 use gnnmls_serve::client::{ClientError, RetryPolicy};
-use gnnmls_serve::protocol::ResponseKind;
+use gnnmls_serve::protocol::{read_frame, write_frame, Request, Response, ResponseKind};
 use gnnmls_serve::{Client, ServeConfig, Server, ServerStats};
 
 /// The seams fire on daemon threads, so these tests arm global fault
@@ -217,6 +219,41 @@ fn deadline_budget_degrades_over_the_wire() {
         starved.what_if.unwrap().pattern_sinks > 0,
         "a starved deadline must degrade gracefully"
     );
+    server.shutdown();
+}
+
+#[test]
+fn one_worker_answers_queued_jobs_in_job_order() {
+    let _serial = serialize_tests();
+    let server = Server::start(
+        ServeConfig::builder()
+            .workers(1)
+            .read_timeout_ms(50)
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    // The first what-if cold-builds the GNN-MLS session, so the three
+    // jobs pipelined behind it are all queued before the one worker is
+    // free again.
+    let gnn = spec().with_policy(FlowPolicy::GnnMls);
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    for req in [
+        Request::what_if(1, gnn.clone(), 0, true, None),
+        Request::infer(2, gnn.clone(), Some(8)),
+        Request::what_if(3, gnn.clone(), 1, true, None),
+        Request::infer(4, gnn, Some(8)),
+    ] {
+        write_frame(&mut raw, &req).unwrap();
+    }
+    let ids: Vec<u64> = (0..4)
+        .map(|_| {
+            let resp: Response = read_frame(&mut raw).unwrap();
+            assert_eq!(resp.kind, ResponseKind::Ok, "{resp:?}");
+            resp.id
+        })
+        .collect();
+    assert_eq!(ids, [1, 2, 3, 4], "one worker must answer in job order");
     server.shutdown();
 }
 
