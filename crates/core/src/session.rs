@@ -10,20 +10,23 @@
 //!
 //! A [`DesignSession`] is everything a long-lived server needs to answer
 //! what-if and inference queries without re-paying the cold start: the
-//! prepared netlist and placement, the routed DB plus the congestion
-//! scale it settled at, the extracted inference path samples, and (for
-//! the GNN-MLS policy) the trained model. [`DesignSession::build`] runs
-//! the flow's own stages — [`crate::flow::prepare`], the GNN-MLS
-//! learning stage, and [`crate::flow::route_and_time`] — so it costs a
-//! full place + route + audit + STA; answering a query against it only
-//! costs a usage-map restore plus one detached search, which is what
-//! makes the `gnnmls-serve` warm cache ≥10× cheaper than a one-shot CLI
-//! run.
+//! prepared netlist and placement, the audited route DB, the routing
+//! state its router left behind (usage maps and the congestion scale it
+//! settled at), the extracted inference path samples, and (for the
+//! GNN-MLS policy) the trained model. [`DesignSession::build`] runs the
+//! flow's own stages — [`crate::flow::prepare`], the GNN-MLS learning
+//! stage, and [`crate::flow::route_and_time`] — so it costs a full
+//! place + route + audit + STA; answering a what-if against it costs
+//! one detached search, which is what makes the `gnnmls-serve` warm
+//! cache ≥10× cheaper than a one-shot CLI run.
 //!
 //! Determinism contract: a warm session's [`DesignSession::what_if`] is
-//! bit-identical to a cold one-shot run of the same spec, because
-//! [`gnnmls_route::Router::restore_routes`] replays both the usage maps
-//! and the final congestion scale.
+//! bit-identical to the live router's
+//! [`gnnmls_route::Router::what_if_budgeted`], because the session keeps
+//! that router's [`RouteState`] (moved out by
+//! [`gnnmls_route::Router::into_state`], not rebuilt) and searches it
+//! through the same [`RouteView`], given the net's tree from the route
+//! DB.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -37,7 +40,7 @@ use gnnmls_netlist::generators::{
 use gnnmls_netlist::tech::TechConfig;
 use gnnmls_netlist::{NetId, Netlist};
 use gnnmls_phys::Placement;
-use gnnmls_route::{AuditMode, MlsOverride, MlsPolicy, RouteConfig, RouteDb, Router, RoutingGrid};
+use gnnmls_route::{AuditMode, MlsOverride, MlsPolicy, NetRoute, RouteDb, RouteState, RouteView};
 
 use crate::checkpoint::fnv1a64;
 use crate::flow::{
@@ -396,6 +399,20 @@ pub struct WhatIfResult {
     pub sink_elmore_ps: Vec<f64>,
 }
 
+impl WhatIfResult {
+    fn from_route(r: NetRoute) -> Self {
+        Self {
+            net: r.net.index() as u32,
+            wirelength_um: r.wirelength_um,
+            f2f_crossings: r.f2f_crossings,
+            is_mls: r.is_mls,
+            pattern_sinks: r.pattern_sinks,
+            total_cap_ff: r.total_cap_ff,
+            sink_elmore_ps: r.sink_elmore_ps,
+        }
+    }
+}
+
 /// The answer to an inference query over the session's worst paths.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct InferResult {
@@ -440,14 +457,10 @@ pub struct SessionStats {
 /// A warm design session (see the module docs).
 pub struct DesignSession {
     spec: SessionSpec,
-    tech: TechConfig,
     netlist: Netlist,
     placement: Placement,
-    route_policy: MlsPolicy,
-    route_cfg: RouteConfig,
     routes: RouteDb,
-    grid: RoutingGrid,
-    congestion_scale: f64,
+    route_state: RouteState,
     timing: SessionTiming,
     samples: Vec<PathSample>,
     model: Option<GnnMls>,
@@ -483,7 +496,8 @@ impl DesignSession {
             }
         };
 
-        // The audited DB is what every warm query later consumes.
+        // The audited DB and the state its router leaves behind are what
+        // every warm what-if later searches.
         let Routed {
             router,
             routes,
@@ -496,9 +510,7 @@ impl DesignSession {
             &cfg,
             "session-build",
         )?;
-        let congestion_scale = router.congestion_scale();
-        let grid = router.grid().clone();
-        drop(router);
+        let route_state = router.into_state();
         let timing = SessionTiming {
             wns_ps: report.wns_ps(),
             endpoints: report.endpoint_count() as u64,
@@ -510,14 +522,10 @@ impl DesignSession {
 
         Ok(Self {
             spec: spec.clone(),
-            tech,
             netlist,
             placement,
-            route_policy,
-            route_cfg: cfg.route_cfg(),
             routes,
-            grid,
-            congestion_scale,
+            route_state,
             timing,
             samples,
             model,
@@ -530,10 +538,10 @@ impl DesignSession {
         &self.spec
     }
 
-    /// Re-audits the session's route DB. [`AuditMode::Cheap`] is what
-    /// the serve daemon runs on every warm cache hit — O(nets) recount
-    /// consistency, no global usage replay — so a session corrupted in
-    /// memory surfaces as a typed error instead of a wrong answer.
+    /// Re-audits the session's route DB. The serve daemon's watchdog
+    /// runs [`AuditMode::Cheap`] — O(nets) recount consistency, no
+    /// global usage replay — on its cached sessions in the background,
+    /// so a session corrupted in memory is found and evicted.
     ///
     /// # Errors
     ///
@@ -542,8 +550,8 @@ impl DesignSession {
     pub fn audit(&self, mode: AuditMode) -> Result<(), SessionError> {
         crate::audit::check_routes(
             &self.netlist,
-            &self.grid,
-            &self.route_policy,
+            self.route_state.grid(),
+            self.route_state.policy(),
             &self.routes,
             mode,
             "warm-session",
@@ -556,24 +564,16 @@ impl DesignSession {
         self.model.as_ref()
     }
 
-    /// A router view over the committed routes: grid rebuilt, usage maps
-    /// and congestion scale restored, **no search re-run**. What-if
-    /// answers from this view are bit-identical to the cold router's.
+    /// The read-only search over the routing state the build's router
+    /// left behind: nothing is rebuilt, restored or re-routed. What-if
+    /// answers through it, given each net's tree from the route DB, are
+    /// bit-identical to the live router's.
     ///
     /// # Errors
     ///
-    /// Returns [`SessionError::Flow`] if the restore fails (never for a
-    /// session built by [`DesignSession::build`]).
-    pub fn router(&self) -> Result<Router<'_>, SessionError> {
-        let mut r = Router::new(
-            &self.netlist,
-            &self.placement,
-            &self.tech,
-            self.route_policy.clone(),
-            self.route_cfg.clone(),
-        )?;
-        r.restore_routes(&self.routes, self.congestion_scale)?;
-        Ok(r)
+    /// Never fails; the `Result` keeps the signature callers match on.
+    pub fn router(&self) -> Result<RouteView<'_>, SessionError> {
+        Ok(self.route_state.view(&self.netlist, &self.placement))
     }
 
     /// Answers a what-if query: the route `net` would get with MLS
@@ -597,27 +597,18 @@ impl DesignSession {
                 nets: self.netlist.net_count(),
             });
         }
-        let router = self.router()?;
-        let budget = max_expansions
-            .unwrap_or(self.route_cfg.max_expansions)
-            .min(self.route_cfg.max_expansions)
-            .max(1);
+        let view = self.router()?;
+        let full = self.route_state.config().max_expansions;
+        let budget = max_expansions.unwrap_or(full).min(full).max(1);
         let ov = if allow_mls {
             MlsOverride::Allow
         } else {
             MlsOverride::Deny
         };
-        let mut scratch = router.scratch();
-        let r = router.what_if_budgeted(&mut scratch, NetId::new(net), ov, budget)?;
-        Ok(WhatIfResult {
-            net,
-            wirelength_um: r.wirelength_um,
-            f2f_crossings: r.f2f_crossings,
-            is_mls: r.is_mls,
-            pattern_sinks: r.pattern_sinks,
-            total_cap_ff: r.total_cap_ff,
-            sink_elmore_ps: r.sink_elmore_ps,
-        })
+        let net_id = NetId::new(net);
+        let committed = &self.routes.route(net_id).tree;
+        let r = view.what_if(&mut view.scratch(), net_id, Some(committed), ov, budget)?;
+        Ok(WhatIfResult::from_route(r))
     }
 
     /// Runs MLS inference over the worst `k` warm samples with the
@@ -803,8 +794,8 @@ mod tests {
         let mut session = DesignSession::build(&fast_spec()).unwrap();
         session.audit(AuditMode::Cheap).unwrap();
         session.audit(AuditMode::Full).unwrap();
-        // Corrupt one edge count in memory: the cheap (warm-hit) audit
-        // must catch it.
+        // Corrupt one edge count in memory: the Cheap audit the daemon
+        // re-runs in the background must catch it.
         let idx = session
             .routes
             .nets
@@ -866,6 +857,44 @@ mod tests {
             session.what_if(u32::MAX, true, None),
             Err(SessionError::UnknownNet { .. })
         ));
+    }
+
+    #[test]
+    fn warm_what_if_equals_the_live_routers() {
+        // The router that routed the design, kept alive, is the ground
+        // truth a warm session's kept state must reproduce.
+        let spec = fast_spec();
+        let session = DesignSession::build(&spec).unwrap();
+        let design = spec.generate().unwrap();
+        let cfg = spec.flow_config();
+        let (netlist, placement) = prepare(&design, &cfg).unwrap();
+        let live = route_and_time(
+            &netlist,
+            &placement,
+            &design.tech,
+            &MlsPolicy::Disabled,
+            &cfg,
+            "live",
+        )
+        .unwrap()
+        .router;
+        let full = live.config().max_expansions;
+        let mut scratch = live.scratch();
+        for id in netlist.net_ids() {
+            let net = id.index() as u32;
+            for (allow, ov) in [(false, MlsOverride::Deny), (true, MlsOverride::Allow)] {
+                for budget in [full, 50] {
+                    let want = live
+                        .what_if_budgeted(&mut scratch, id, ov, budget)
+                        .map(WhatIfResult::from_route);
+                    match (session.what_if(net, allow, Some(budget)), want) {
+                        (Ok(got), Ok(want)) => assert_eq!(got, want, "net {net} allow {allow}"),
+                        (Err(_), Err(_)) => {}
+                        (got, want) => panic!("net {net} allow {allow}: {got:?} vs {want:?}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

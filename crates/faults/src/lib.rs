@@ -87,10 +87,14 @@ pub enum FaultSite {
     /// Transient I/O error (EIO) reading a persistent artifact back —
     /// must surface typed and leave the on-disk bytes untouched.
     ReadEio,
+    /// Panic inside a serve worker while it handles a job, after the
+    /// job left its supervision slot — the job must still get exactly
+    /// one typed answer.
+    HandlerPanic,
 }
 
 /// All sites, in the order used by seed-driven plans.
-pub const ALL_SITES: [FaultSite; 20] = [
+pub const ALL_SITES: [FaultSite; 21] = [
     FaultSite::CheckpointCorrupt,
     FaultSite::CheckpointTruncate,
     FaultSite::UnroutableNet,
@@ -111,6 +115,7 @@ pub const ALL_SITES: [FaultSite; 20] = [
     FaultSite::TornWrite,
     FaultSite::RenameCrash,
     FaultSite::ReadEio,
+    FaultSite::HandlerPanic,
 ];
 
 impl FaultSite {
@@ -136,6 +141,7 @@ impl FaultSite {
             FaultSite::TornWrite => 17,
             FaultSite::RenameCrash => 18,
             FaultSite::ReadEio => 19,
+            FaultSite::HandlerPanic => 20,
         }
     }
 
@@ -161,6 +167,7 @@ impl FaultSite {
             "torn-write" => Some(FaultSite::TornWrite),
             "rename-crash" => Some(FaultSite::RenameCrash),
             "read-eio" => Some(FaultSite::ReadEio),
+            "handler-panic" => Some(FaultSite::HandlerPanic),
             _ => None,
         }
     }
@@ -189,6 +196,7 @@ impl fmt::Display for FaultSite {
             FaultSite::TornWrite => "torn-write",
             FaultSite::RenameCrash => "rename-crash",
             FaultSite::ReadEio => "read-eio",
+            FaultSite::HandlerPanic => "handler-panic",
         };
         f.write_str(s)
     }
@@ -554,7 +562,7 @@ mod tests {
 
     #[test]
     fn new_robustness_sites_are_registered() {
-        assert_eq!(ALL_SITES.len(), 20);
+        assert_eq!(ALL_SITES.len(), 21);
         assert_eq!(ALL_SITES[10], FaultSite::SessionBuildFail);
         assert_eq!(ALL_SITES[11], FaultSite::RouteAuditCorrupt);
         assert_eq!(FaultSite::SessionBuildFail.to_string(), "build-fail");
@@ -615,6 +623,21 @@ mod tests {
         let p = FaultPlan::from_seed(42);
         assert_eq!(p.shots(FaultSite::CheckpointCorrupt), 1);
         assert_eq!(p.shots(FaultSite::ModelSwapCorrupt), 2);
+    }
+
+    #[test]
+    fn handler_panic_site_is_registered_last() {
+        assert_eq!(ALL_SITES[20], FaultSite::HandlerPanic);
+        assert_eq!(FaultSite::HandlerPanic.to_string(), "handler-panic");
+        assert_eq!(
+            FaultSite::from_name("handler-panic"),
+            Some(FaultSite::HandlerPanic)
+        );
+        // Appended last, so every pinned seed keeps its first 20 draws.
+        let p = FaultPlan::from_seed(42);
+        assert_eq!(p.shots(FaultSite::CheckpointCorrupt), 1);
+        assert_eq!(p.shots(FaultSite::ModelSwapCorrupt), 2);
+        assert_eq!(p.shots(FaultSite::ReadEio), 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ const COVERAGE_SEEDS: [u64; 5] = [1, 7, 42, 3, 21];
 fn every_site_is_armed_by_at_least_one_coverage_seed() {
     assert_eq!(
         ALL_SITES.len(),
-        20,
+        21,
         "a new site was registered: extend COVERAGE_SEEDS so it gets a shot"
     );
     let plans: Vec<FaultPlan> = COVERAGE_SEEDS

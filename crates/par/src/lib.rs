@@ -132,7 +132,9 @@ impl std::fmt::Display for ParError {
 
 impl std::error::Error for ParError {}
 
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message of a caught panic payload (`&str` or `String`), or a
+/// placeholder for any other payload type.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -208,7 +210,7 @@ where
         }))
         .map_err(|payload| ParError {
             index: i,
-            message: payload_message(payload.as_ref()),
+            message: panic_message(payload.as_ref()),
         })
     };
 

@@ -26,7 +26,7 @@
 //! - [`policy`] — MLS policies and the per-(net, g-cell, layer) access rule.
 //! - [`router`] — multi-source A* maze routing with congestion costs and
 //!   rip-up-and-reroute, plus detached what-if routing for the label
-//!   oracle.
+//!   oracle and warm sessions.
 //! - [`tree`] — route trees and Elmore-ready RC extraction.
 //! - [`db`] — the route database and summary metrics (wirelength, MLS net
 //!   count, layer utilization, overflow).
@@ -63,6 +63,6 @@ pub use policy::{MlsPolicy, SotaShareMap};
 pub use render::{congestion_svg, mls_pad_map, usage_map};
 pub use router::{
     route_design, MlsOverride, RouteConfig, RouteConfigBuilder, RouteConfigError, RouteError,
-    RouteScratch, Router,
+    RouteScratch, RouteState, RouteView, Router,
 };
 pub use tree::RouteTree;

@@ -13,6 +13,13 @@
 //! without touching committed state. That is the "iterative STA"
 //! primitive the paper calls computationally prohibitive at full scale —
 //! and the label oracle for GNN-MLS training.
+//!
+//! The search itself lives on [`RouteView`], which borrows a
+//! [`RouteState`] (what a routing owns: grid, costs, usage maps,
+//! congestion scale) and the design. The router searches its own state
+//! through it; [`Router::into_state`] lets a warm session keep that
+//! state and answer what-ifs through the same view after the router is
+//! gone.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -313,9 +320,9 @@ pub enum MlsOverride {
 
 /// Reusable per-thread A* working state.
 ///
-/// Routing reads shared router state (`&Router`) but writes only into a
-/// scratch, so independent searches can run concurrently, each with its
-/// own scratch (mint one per worker via [`Router::scratch`]). Besides
+/// Routing reads shared routing state (a [`RouteView`]) but writes only
+/// into a scratch, so independent searches can run concurrently, each
+/// with its own scratch (mint one per worker via [`Router::scratch`]). Besides
 /// the distance/backtrack arrays, the scratch records the search
 /// *footprint* — every node stamped since the last [`RouteScratch::
 /// begin_footprint`] — which is exactly the set of nodes whose incident
@@ -373,8 +380,8 @@ impl RouteScratch {
 
 /// Usage counts to *subtract* while costing edges: the committed
 /// contribution of the net being what-if re-routed. This lets what-if
-/// routing run against `&Router` (no mutate-and-restore), seeing the
-/// exact same congestion numbers the old detached route saw.
+/// routing run against a read-only [`RouteView`] (no mutate-and-restore),
+/// seeing the exact same congestion numbers the old detached route saw.
 #[derive(Debug, Default)]
 struct ExcludedUsage {
     h: std::collections::HashMap<usize, u16>,
@@ -427,10 +434,14 @@ impl Ord for HeapEntry {
     }
 }
 
-/// The stateful router.
-pub struct Router<'a> {
-    netlist: &'a Netlist,
-    placement: &'a Placement,
+/// What a routing owns apart from the design it routes: the grid,
+/// per-layer costs, home tiers, MLS policy and SOTA share map, config,
+/// usage maps and congestion scale.
+///
+/// A [`Router`] mutates it while routing. [`Router::into_state`] hands
+/// it to an owner that outlives the router, such as a warm design
+/// session, which then searches it through [`RouteState::view`].
+pub struct RouteState {
     grid: RoutingGrid,
     f2f: F2fParams,
     policy: MlsPolicy,
@@ -439,12 +450,100 @@ pub struct Router<'a> {
     /// Base wire cost per g-cell step, per z.
     layer_cost: Vec<f32>,
     min_wire_cost: f32,
+    home: Vec<Option<Tier>>,
     usage_h: Vec<u16>,
     usage_v: Vec<u16>,
     usage_f2f: Vec<u16>,
-    routes: Vec<Option<NetRoute>>,
-    home: Vec<Option<Tier>>,
     congestion_scale: f64,
+}
+
+impl RouteState {
+    /// The routing grid.
+    #[inline]
+    pub fn grid(&self) -> &RoutingGrid {
+        &self.grid
+    }
+
+    /// The routing configuration.
+    #[inline]
+    pub fn config(&self) -> &RouteConfig {
+        &self.cfg
+    }
+
+    /// The MLS policy the state was routed under.
+    #[inline]
+    pub fn policy(&self) -> &MlsPolicy {
+        &self.policy
+    }
+
+    /// A read-only search over this state and the design it was routed
+    /// for. Pass the same netlist and placement the router had.
+    pub fn view<'a>(&'a self, netlist: &'a Netlist, placement: &'a Placement) -> RouteView<'a> {
+        RouteView {
+            netlist,
+            placement,
+            state: self,
+        }
+    }
+
+    #[inline]
+    fn edge_idx(&self, z: usize, x: usize, y: usize) -> usize {
+        (z * self.grid.ny + y) * self.grid.nx + x
+    }
+
+    fn apply_usage(&mut self, tree: &RouteTree, delta: i32) {
+        for i in 1..tree.nodes.len() {
+            let a = tree.nodes[tree.parent[i] as usize];
+            let b = tree.nodes[i];
+            let (xa, ya, za) = self.grid.coords(a);
+            let (xb, yb, zb) = self.grid.coords(b);
+            if za == zb {
+                if ya == yb {
+                    let idx = self.edge_idx(za, xa.min(xb), ya);
+                    self.usage_h[idx] = add_u16(self.usage_h[idx], delta);
+                } else {
+                    let idx = self.edge_idx(za, xa, ya.min(yb));
+                    self.usage_v[idx] = add_u16(self.usage_v[idx], delta);
+                }
+            } else if self.grid.is_f2f_via(za.min(zb)) {
+                let idx = ya * self.grid.nx + xa;
+                self.usage_f2f[idx] = add_u16(self.usage_f2f[idx], delta);
+            }
+        }
+    }
+
+    fn tree_overflows(&self, tree: &RouteTree) -> bool {
+        for i in 1..tree.nodes.len() {
+            let a = tree.nodes[tree.parent[i] as usize];
+            let b = tree.nodes[i];
+            let (xa, ya, za) = self.grid.coords(a);
+            let (xb, yb, zb) = self.grid.coords(b);
+            if za == zb {
+                let cap = self.grid.layers[za].capacity;
+                let u = if ya == yb {
+                    self.usage_h[self.edge_idx(za, xa.min(xb), ya)]
+                } else {
+                    self.usage_v[self.edge_idx(za, xa, ya.min(yb))]
+                };
+                if u > cap {
+                    return true;
+                }
+            } else if self.grid.is_f2f_via(za.min(zb))
+                && self.usage_f2f[ya * self.grid.nx + xa] > self.grid.f2f_capacity
+            {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// The stateful router.
+pub struct Router<'a> {
+    netlist: &'a Netlist,
+    placement: &'a Placement,
+    state: RouteState,
+    routes: Vec<Option<NetRoute>>,
     scratch: RouteScratch,
     /// Rip-up victims whose reroute failed and kept their old route.
     isolated_failures: usize,
@@ -494,34 +593,36 @@ impl<'a> Router<'a> {
         Ok(Self {
             netlist,
             placement,
-            f2f: tech.f2f.clone(),
-            policy,
-            share,
-            layer_cost,
-            min_wire_cost,
-            usage_h: vec![0; nzyx],
-            usage_v: vec![0; nzyx],
-            usage_f2f: vec![0; grid.nx * grid.ny],
+            state: RouteState {
+                f2f: tech.f2f.clone(),
+                policy,
+                share,
+                layer_cost,
+                min_wire_cost,
+                home,
+                usage_h: vec![0; nzyx],
+                usage_v: vec![0; nzyx],
+                usage_f2f: vec![0; grid.nx * grid.ny],
+                congestion_scale: 1.0,
+                grid,
+                cfg,
+            },
             routes: vec![None; netlist.net_count()],
-            home,
-            congestion_scale: 1.0,
             scratch: RouteScratch::default(),
             isolated_failures: 0,
-            grid,
-            cfg,
         })
     }
 
     /// The routing grid.
     #[inline]
     pub fn grid(&self) -> &RoutingGrid {
-        &self.grid
+        &self.state.grid
     }
 
     /// The router's configuration.
     #[inline]
     pub fn config(&self) -> &RouteConfig {
-        &self.cfg
+        &self.state.cfg
     }
 
     /// Mints a fresh A* scratch sized lazily on first use. Callers that
@@ -534,51 +635,20 @@ impl<'a> Router<'a> {
     /// The SOTA share map, if the policy computed one.
     #[inline]
     pub fn share_map(&self) -> Option<&SotaShareMap> {
-        self.share.as_ref()
+        self.state.share.as_ref()
     }
 
-    /// Current congestion scale (doubles each executed rip-up round).
-    ///
-    /// What-if costs depend on this, so a warm session that restores a
-    /// routed DB must also restore the scale to reproduce the original
-    /// router's what-if results bit-for-bit.
+    /// Ends the router and keeps its routing state: usage maps and
+    /// congestion scale as the last routing left them. What-ifs through
+    /// [`RouteState::view`], given each net's committed tree, answer
+    /// bit-identically to [`Router::what_if_budgeted`].
+    pub fn into_state(self) -> RouteState {
+        self.state
+    }
+
     #[inline]
-    pub fn congestion_scale(&self) -> f64 {
-        self.congestion_scale
-    }
-
-    /// Rebuilds committed routing state from a saved [`RouteDb`]
-    /// without running any search: every net's tree is re-applied to
-    /// the usage maps and `congestion_scale` is restored. After this,
-    /// [`Router::what_if`] answers are bit-identical to the router that
-    /// produced the DB — this is the warm-session restore path, orders
-    /// of magnitude cheaper than [`Router::route_all`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouteError::Incomplete`] if the DB does not cover
-    /// every net of the design.
-    pub fn restore_routes(
-        &mut self,
-        db: &RouteDb,
-        congestion_scale: f64,
-    ) -> Result<(), RouteError> {
-        if db.nets.len() != self.netlist.net_count() {
-            return Err(RouteError::Incomplete {
-                missing: self.netlist.net_count().abs_diff(db.nets.len()),
-            });
-        }
-        self.usage_h.iter_mut().for_each(|u| *u = 0);
-        self.usage_v.iter_mut().for_each(|u| *u = 0);
-        self.usage_f2f.iter_mut().for_each(|u| *u = 0);
-        self.routes.iter_mut().for_each(|r| *r = None);
-        for route in &db.nets {
-            self.apply_usage(&route.tree, 1);
-            self.routes[route.net.index()] = Some(route.clone());
-        }
-        self.congestion_scale = congestion_scale;
-        self.isolated_failures = db.summary.isolated_failures;
-        Ok(())
+    fn view(&self) -> RouteView<'_> {
+        self.state.view(self.netlist, self.placement)
     }
 
     /// Routes every net, then runs the configured rip-up rounds.
@@ -625,15 +695,15 @@ impl<'a> Router<'a> {
             self.routes[net.index()] = Some(r);
         }
         let mut rounds_run = 0u64;
-        for round in 0..self.cfg.ripup_rounds {
-            self.congestion_scale *= 2.0;
+        for round in 0..self.state.cfg.ripup_rounds {
+            self.state.congestion_scale *= 2.0;
             let victims: Vec<NetId> = order
                 .iter()
                 .copied()
                 .filter(|&n| {
                     self.routes[n.index()]
                         .as_ref()
-                        .is_some_and(|r| self.tree_overflows(&r.tree))
+                        .is_some_and(|r| self.state.tree_overflows(&r.tree))
                 })
                 .collect();
             if victims.is_empty() {
@@ -663,7 +733,7 @@ impl<'a> Router<'a> {
         for net in self.netlist.net_ids() {
             let of = self.routes[net.index()]
                 .as_ref()
-                .map(|r| self.tree_overflows(&r.tree));
+                .map(|r| self.state.tree_overflows(&r.tree));
             if let (Some(of), Some(r)) = (of, self.routes[net.index()].as_mut()) {
                 r.overflowed = of;
             }
@@ -684,7 +754,7 @@ impl<'a> Router<'a> {
     ) -> Result<NetRoute, RouteError> {
         match saved {
             Some(r) => {
-                self.apply_usage(&r.tree, 1);
+                self.state.apply_usage(&r.tree, 1);
                 self.routes[net.index()] = Some(r.clone());
                 self.isolated_failures += 1;
                 Ok(r)
@@ -711,7 +781,7 @@ impl<'a> Router<'a> {
         victims: &[NetId],
         saved: &[Option<NetRoute>],
     ) -> Result<(), RouteError> {
-        let workers = gnnmls_par::resolve_threads(self.cfg.threads);
+        let workers = gnnmls_par::resolve_threads(self.state.cfg.threads);
         if workers <= 1 || victims.len() < 2 {
             for (k, &net) in victims.iter().enumerate() {
                 let routed = Self::injected_unroutable(net)
@@ -729,13 +799,13 @@ impl<'a> Router<'a> {
         // Speculative pass against the frozen (all-victims-ripped)
         // state. A worker panic is retried serially (bit-identical) and
         // only surfaces as a typed error if it reproduces.
-        let this: &Router<'_> = self;
+        let view = self.view();
         let speculated = gnnmls_par::recovering_par_map_with(
-            self.cfg.threads,
+            self.state.cfg.threads,
             victims.len(),
-            || this.scratch(),
+            || view.scratch(),
             |scratch, i| {
-                let r = this.compute_route(scratch, victims[i], MlsOverride::UsePolicy, None);
+                let r = view.compute_route(scratch, victims[i], MlsOverride::UsePolicy, None);
                 (r, scratch.footprint().to_vec())
             },
         )
@@ -753,7 +823,7 @@ impl<'a> Router<'a> {
                 Ok(route) => {
                     let valid = footprint.iter().all(|n| !committed.contains(n));
                     if valid {
-                        self.apply_usage(&route.tree, 1);
+                        self.state.apply_usage(&route.tree, 1);
                         Ok(route)
                     } else {
                         self.route_net(net, MlsOverride::UsePolicy, true)
@@ -819,14 +889,11 @@ impl<'a> Router<'a> {
         net: NetId,
         ov: MlsOverride,
     ) -> Result<NetRoute, RouteError> {
-        self.what_if_budgeted(scratch, net, ov, self.cfg.max_expansions)
+        self.what_if_budgeted(scratch, net, ov, self.state.cfg.max_expansions)
     }
 
-    /// [`Router::what_if`] with a per-call A* expansion budget.
-    ///
-    /// The serve daemon maps a request deadline onto `max_expansions`,
-    /// so a late request degrades to the pattern fallback (or a typed
-    /// error) instead of holding a worker. A budget equal to
+    /// [`Router::what_if`] with a per-call A* expansion budget (see
+    /// [`RouteView::what_if`]). A budget equal to
     /// [`RouteConfig::max_expansions`] is exactly [`Router::what_if`].
     ///
     /// # Errors
@@ -840,31 +907,9 @@ impl<'a> Router<'a> {
         ov: MlsOverride,
         max_expansions: usize,
     ) -> Result<NetRoute, RouteError> {
-        let exclude = self.excluded_for(net);
-        self.compute_route_budgeted(scratch, net, ov, exclude.as_ref(), max_expansions)
-    }
-
-    /// Usage overlay subtracting `net`'s committed tree, if any.
-    fn excluded_for(&self, net: NetId) -> Option<ExcludedUsage> {
-        let route = self.routes[net.index()].as_ref()?;
-        let tree = &route.tree;
-        let mut ex = ExcludedUsage::default();
-        for i in 1..tree.nodes.len() {
-            let a = tree.nodes[tree.parent[i] as usize];
-            let b = tree.nodes[i];
-            let (xa, ya, za) = self.grid.coords(a);
-            let (xb, yb, zb) = self.grid.coords(b);
-            if za == zb {
-                if ya == yb {
-                    *ex.h.entry(self.edge_idx(za, xa.min(xb), ya)).or_insert(0) += 1;
-                } else {
-                    *ex.v.entry(self.edge_idx(za, xa, ya.min(yb))).or_insert(0) += 1;
-                }
-            } else if self.grid.is_f2f_via(za.min(zb)) {
-                *ex.f2f.entry(ya * self.grid.nx + xa).or_insert(0) += 1;
-            }
-        }
-        Some(ex)
+        let committed = self.routes[net.index()].as_ref().map(|r| &r.tree);
+        self.view()
+            .what_if(scratch, net, committed, ov, max_expansions)
     }
 
     /// Snapshot of all routes plus summary metrics.
@@ -897,10 +942,11 @@ impl<'a> Router<'a> {
     }
 
     fn summary(&self, nets: &[NetRoute]) -> RouteSummary {
+        let s = &self.state;
         let total_wl_um: f64 = nets.iter().map(|r| r.wirelength_um).sum();
-        let (nx, ny) = (self.grid.nx, self.grid.ny);
-        let mut layer_utilization = Vec::with_capacity(self.grid.nz());
-        for (z, layer) in self.grid.layers.iter().enumerate() {
+        let (nx, ny) = (s.grid.nx, s.grid.ny);
+        let mut layer_utilization = Vec::with_capacity(s.grid.nz());
+        for (z, layer) in s.grid.layers.iter().enumerate() {
             let (mut used, mut cap) = (0u64, 0u64);
             let layer_label = format!("{}-M{}", layer.tier, layer.metal);
             gnnmls_obs::register_histogram(
@@ -912,9 +958,9 @@ impl<'a> Router<'a> {
                 for x in 0..nx {
                     let idx = (z * ny + y) * nx + x;
                     if x + 1 < nx {
-                        used += u64::from(self.usage_h[idx]);
+                        used += u64::from(s.usage_h[idx]);
                         cap += u64::from(layer.capacity);
-                        let of = self.usage_h[idx].saturating_sub(layer.capacity);
+                        let of = s.usage_h[idx].saturating_sub(layer.capacity);
                         if of > 0 {
                             gnnmls_obs::observe(
                                 "gnnmls_route_gcell_overflow",
@@ -925,9 +971,9 @@ impl<'a> Router<'a> {
                         }
                     }
                     if y + 1 < ny {
-                        used += u64::from(self.usage_v[idx]);
+                        used += u64::from(s.usage_v[idx]);
                         cap += u64::from(layer.capacity);
-                        let of = self.usage_v[idx].saturating_sub(layer.capacity);
+                        let of = s.usage_v[idx].saturating_sub(layer.capacity);
                         if of > 0 {
                             gnnmls_obs::observe(
                                 "gnnmls_route_gcell_overflow",
@@ -950,7 +996,7 @@ impl<'a> Router<'a> {
             gnnmls_obs::counter_add("gnnmls_route_mls_borrow_total", &[("tier", tier)], 0);
         }
         for r in nets.iter().filter(|r| r.is_mls) {
-            if let Some(home) = self.home[r.net.index()] {
+            if let Some(home) = s.home[r.net.index()] {
                 let tier = match home {
                     Tier::Logic => "logic",
                     Tier::Memory => "memory",
@@ -958,8 +1004,8 @@ impl<'a> Router<'a> {
                 gnnmls_obs::counter_add("gnnmls_route_mls_borrow_total", &[("tier", tier)], 1);
             }
         }
-        let pads: u64 = self.usage_f2f.iter().map(|&u| u64::from(u)).sum();
-        let pad_cap = (nx * ny) as u64 * u64::from(self.grid.f2f_capacity);
+        let pads: u64 = s.usage_f2f.iter().map(|&u| u64::from(u)).sum();
+        let pad_cap = (nx * ny) as u64 * u64::from(s.grid.f2f_capacity);
         RouteSummary {
             total_wirelength_m: total_wl_um / 1.0e6,
             mls_net_count: nets.iter().filter(|r| r.is_mls).count(),
@@ -977,18 +1023,8 @@ impl<'a> Router<'a> {
         }
     }
 
-    // ---- per-net routing ----
-
-    fn pin_node(&self, pin: gnnmls_netlist::PinId) -> u32 {
-        let cell = self.netlist.pin(pin).cell;
-        let loc = self.placement.loc(cell);
-        let (gx, gy) = self.grid.gcell_of(loc.x, loc.y);
-        let z = self.grid.pin_z(self.netlist.cell(cell).tier);
-        self.grid.node(gx, gy, z)
-    }
-
-    /// Committing wrapper around [`Router::compute_route`] using the
-    /// router's own scratch (the serial hot path).
+    /// Routes one net against current usage with the router's own
+    /// scratch (the serial hot path), committing the result if asked.
     fn route_net(
         &mut self,
         net: NetId,
@@ -996,19 +1032,100 @@ impl<'a> Router<'a> {
         commit: bool,
     ) -> Result<NetRoute, RouteError> {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let r = self.compute_route(&mut scratch, net, ov, None);
+        let r = self.view().compute_route(&mut scratch, net, ov, None);
         self.scratch = scratch;
         let r = r?;
         if commit {
-            self.apply_usage(&r.tree, 1);
+            self.state.apply_usage(&r.tree, 1);
         }
         Ok(r)
     }
 
-    /// Routes one net against current committed usage (minus `exclude`,
-    /// if given) without committing anything: reads `&self`, writes only
-    /// into `scratch`. The scratch's footprint is reset first, so after
-    /// the call it holds every node this search stamped.
+    fn rip_up(&mut self, net: NetId) {
+        if let Some(r) = self.routes[net.index()].take() {
+            self.state.apply_usage(&r.tree, -1);
+        }
+    }
+}
+
+/// A read-only search over a [`RouteState`] and the design it routes:
+/// the one A* behind [`Router::route_all`], the oracle's what-ifs and
+/// a warm session's. Reads `&self`, writes only into a caller-owned
+/// [`RouteScratch`].
+pub struct RouteView<'a> {
+    netlist: &'a Netlist,
+    placement: &'a Placement,
+    state: &'a RouteState,
+}
+
+impl RouteView<'_> {
+    /// Mints a fresh A* scratch sized lazily on first use.
+    #[inline]
+    pub fn scratch(&self) -> RouteScratch {
+        RouteScratch::default()
+    }
+
+    /// Detached what-if: the route `net` would get under `ov` with at
+    /// most `max_expansions` A* expansions per sink, leaving the state
+    /// untouched. `committed` is the net's own committed tree; its usage
+    /// is subtracted via a read-only overlay, so the search sees the
+    /// congestion of a detach → re-route. The router passes its own
+    /// tree, a warm session the one in its route DB.
+    ///
+    /// The serve daemon maps a request deadline onto `max_expansions`,
+    /// so a late request degrades to the pattern fallback (or a typed
+    /// error) instead of holding a worker.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RouteError`] when the detached route cannot connect
+    /// every sink.
+    pub fn what_if(
+        &self,
+        scratch: &mut RouteScratch,
+        net: NetId,
+        committed: Option<&RouteTree>,
+        ov: MlsOverride,
+        max_expansions: usize,
+    ) -> Result<NetRoute, RouteError> {
+        let exclude = committed.map(|tree| self.excluded(tree));
+        self.compute_route_budgeted(scratch, net, ov, exclude.as_ref(), max_expansions)
+    }
+
+    /// Usage overlay subtracting a committed tree.
+    fn excluded(&self, tree: &RouteTree) -> ExcludedUsage {
+        let s = self.state;
+        let mut ex = ExcludedUsage::default();
+        for i in 1..tree.nodes.len() {
+            let a = tree.nodes[tree.parent[i] as usize];
+            let b = tree.nodes[i];
+            let (xa, ya, za) = s.grid.coords(a);
+            let (xb, yb, zb) = s.grid.coords(b);
+            if za == zb {
+                if ya == yb {
+                    *ex.h.entry(s.edge_idx(za, xa.min(xb), ya)).or_insert(0) += 1;
+                } else {
+                    *ex.v.entry(s.edge_idx(za, xa, ya.min(yb))).or_insert(0) += 1;
+                }
+            } else if s.grid.is_f2f_via(za.min(zb)) {
+                *ex.f2f.entry(ya * s.grid.nx + xa).or_insert(0) += 1;
+            }
+        }
+        ex
+    }
+
+    fn pin_node(&self, pin: gnnmls_netlist::PinId) -> u32 {
+        let grid = &self.state.grid;
+        let cell = self.netlist.pin(pin).cell;
+        let loc = self.placement.loc(cell);
+        let (gx, gy) = grid.gcell_of(loc.x, loc.y);
+        let z = grid.pin_z(self.netlist.cell(cell).tier);
+        grid.node(gx, gy, z)
+    }
+
+    /// Routes one net against current usage (minus `exclude`, if given)
+    /// without committing anything. The scratch's footprint is reset
+    /// first, so after the call it holds every node this search stamped.
     fn compute_route(
         &self,
         scratch: &mut RouteScratch,
@@ -1016,11 +1133,11 @@ impl<'a> Router<'a> {
         ov: MlsOverride,
         exclude: Option<&ExcludedUsage>,
     ) -> Result<NetRoute, RouteError> {
-        self.compute_route_budgeted(scratch, net, ov, exclude, self.cfg.max_expansions)
+        self.compute_route_budgeted(scratch, net, ov, exclude, self.state.cfg.max_expansions)
     }
 
-    /// [`Router::compute_route`] with an explicit A* expansion budget
-    /// (the deadline hook used by [`Router::what_if_budgeted`]).
+    /// [`RouteView::compute_route`] with an explicit A* expansion
+    /// budget (the deadline hook of [`RouteView::what_if`]).
     fn compute_route_budgeted(
         &self,
         scratch: &mut RouteScratch,
@@ -1029,20 +1146,21 @@ impl<'a> Router<'a> {
         exclude: Option<&ExcludedUsage>,
         max_expansions: usize,
     ) -> Result<NetRoute, RouteError> {
+        let s = self.state;
         scratch.begin_footprint();
         let driver = self.netlist.driver(net);
         let root = self.pin_node(driver);
-        let mut builder = RouteTreeBuilder::new(&self.grid, &self.f2f, root);
+        let mut builder = RouteTreeBuilder::new(&s.grid, &s.f2f, root);
 
         // Sinks nearest-first (by g-cell manhattan distance from the root).
-        let (rx, ry, rz) = self.grid.coords(root);
+        let (rx, ry, rz) = s.grid.coords(root);
         let mut sinks: Vec<(usize, u32)> = self
             .netlist
             .sinks(net)
             .iter()
             .map(|&p| {
                 let n = self.pin_node(p);
-                let (x, y, z) = self.grid.coords(n);
+                let (x, y, z) = s.grid.coords(n);
                 (x.abs_diff(rx) + y.abs_diff(ry) + z.abs_diff(rz), n)
             })
             .collect();
@@ -1091,7 +1209,7 @@ impl<'a> Router<'a> {
             t
         };
 
-        let home = self.home[net.index()];
+        let home = s.home[net.index()];
         let sink_caps: Vec<f64> = self
             .netlist
             .sinks(net)
@@ -1102,9 +1220,9 @@ impl<'a> Router<'a> {
         let total_cap_ff = tree.wire_cap_ff() + sink_caps.iter().sum::<f64>();
         Ok(NetRoute {
             net,
-            wirelength_um: tree.wirelength_um(&self.grid),
+            wirelength_um: tree.wirelength_um(&s.grid),
             f2f_crossings: tree.f2f_crossings(),
-            is_mls: home.is_some_and(|h| tree.uses_other_tier(&self.grid, h)),
+            is_mls: home.is_some_and(|h| tree.uses_other_tier(&s.grid, h)),
             total_cap_ff,
             sink_elmore_ps,
             overflowed: false,
@@ -1125,25 +1243,26 @@ impl<'a> Router<'a> {
         target: u32,
         max_expansions: usize,
     ) -> Option<Vec<u32>> {
-        scratch.ensure(self.grid.node_count());
+        let s = self.state;
+        scratch.ensure(s.grid.node_count());
         // Injected-fault seam: pretend the budget is already exhausted,
         // forcing the maze → pattern fallback for this sink.
         if gnnmls_faults::fire(gnnmls_faults::FaultSite::RouteBudgetExhausted) {
             return None;
         }
-        let (tx, ty, tz) = self.grid.coords(target);
+        let (tx, ty, tz) = s.grid.coords(target);
         let h = |x: usize, y: usize, z: usize| -> f32 {
-            (x.abs_diff(tx) + y.abs_diff(ty)) as f32 * self.min_wire_cost
-                + z.abs_diff(tz) as f32 * self.cfg.via_cost as f32
+            (x.abs_diff(tx) + y.abs_diff(ty)) as f32 * s.min_wire_cost
+                + z.abs_diff(tz) as f32 * s.cfg.via_cost as f32
         };
         let mut heap = BinaryHeap::new();
-        for &s in sources {
-            let (x, y, z) = self.grid.coords(s);
-            scratch.set(s, 0.0, u32::MAX);
+        for &src in sources {
+            let (x, y, z) = s.grid.coords(src);
+            scratch.set(src, 0.0, u32::MAX);
             heap.push(HeapEntry {
                 f: h(x, y, z),
                 g: 0.0,
-                node: s,
+                node: src,
             });
         }
 
@@ -1158,15 +1277,15 @@ impl<'a> Router<'a> {
             }
             if node == target {
                 flush(expansions);
-                return Some(self.backtrack(scratch, node));
+                return Some(Self::backtrack(scratch, node));
             }
             expansions += 1;
             if expansions > max_expansions {
                 flush(expansions);
                 return None;
             }
-            let (x, y, z) = self.grid.coords(node);
-            let layer = &self.grid.layers[z];
+            let (x, y, z) = s.grid.coords(node);
+            let layer = &s.grid.layers[z];
 
             let consider = |nx_: usize,
                             ny_: usize,
@@ -1177,7 +1296,7 @@ impl<'a> Router<'a> {
                 if !self.allowed(net, ov, nx_, ny_, nz_) {
                     return;
                 }
-                let nnode = self.grid.node(nx_, ny_, nz_);
+                let nnode = s.grid.node(nx_, ny_, nz_);
                 let ng = g + cost;
                 if !scratch.seen(nnode) || ng < scratch.dist[nnode as usize] - 1e-6 {
                     scratch.set(nnode, ng, node);
@@ -1192,7 +1311,7 @@ impl<'a> Router<'a> {
             // In-layer moves along the preferred direction.
             match layer.dir {
                 gnnmls_netlist::tech::RouteDir::Horizontal => {
-                    if x + 1 < self.grid.nx {
+                    if x + 1 < s.grid.nx {
                         let c = self.wire_cost(z, x, y, true, exclude);
                         consider(x + 1, y, z, c, scratch, &mut heap);
                     }
@@ -1202,7 +1321,7 @@ impl<'a> Router<'a> {
                     }
                 }
                 gnnmls_netlist::tech::RouteDir::Vertical => {
-                    if y + 1 < self.grid.ny {
+                    if y + 1 < s.grid.ny {
                         let c = self.wire_cost(z, x, y, false, exclude);
                         consider(x, y + 1, z, c, scratch, &mut heap);
                     }
@@ -1213,7 +1332,7 @@ impl<'a> Router<'a> {
                 }
             }
             // Via moves.
-            if z + 1 < self.grid.nz() {
+            if z + 1 < s.grid.nz() {
                 let c = self.via_cost(z, x, y, exclude);
                 consider(x, y, z + 1, c, scratch, &mut heap);
             }
@@ -1226,7 +1345,7 @@ impl<'a> Router<'a> {
         None
     }
 
-    fn backtrack(&self, scratch: &RouteScratch, target: u32) -> Vec<u32> {
+    fn backtrack(scratch: &RouteScratch, target: u32) -> Vec<u32> {
         let mut path = vec![target];
         let mut cur = target;
         while scratch.came[cur as usize] != u32::MAX {
@@ -1243,13 +1362,14 @@ impl<'a> Router<'a> {
         builder: &RouteTreeBuilder<'_>,
         target: u32,
     ) -> Result<Vec<u32>, RouteError> {
+        let grid = &self.state.grid;
         let root = builder.grid_nodes()[0];
-        let (x0, y0, z0) = self.grid.coords(root);
-        let (x1, y1, z1) = self.grid.coords(target);
-        let from_tier = self.grid.tier_of_z(z0);
+        let (x0, y0, z0) = grid.coords(root);
+        let (x1, y1, z1) = grid.coords(target);
+        let from_tier = grid.tier_of_z(z0);
         // Safe H/V layers near the from-die's pin layer (never confiscated
         // by region sharing, which only takes bond-adjacent metals).
-        let (zr0, zr1) = self.grid.tier_z_range(from_tier);
+        let (zr0, zr1) = grid.tier_z_range(from_tier);
         let zs: Vec<usize> = if from_tier == Tier::Logic {
             (zr0..=zr1).collect()
         } else {
@@ -1258,14 +1378,13 @@ impl<'a> Router<'a> {
         let no_layer = RouteError::NoPatternLayer { tier: from_tier };
         let hz = *zs
             .iter()
-            .find(|&&z| self.grid.layers[z].dir == gnnmls_netlist::tech::RouteDir::Horizontal)
+            .find(|&&z| grid.layers[z].dir == gnnmls_netlist::tech::RouteDir::Horizontal)
             .ok_or(no_layer.clone())?;
         let vz = *zs
             .iter()
-            .find(|&&z| self.grid.layers[z].dir == gnnmls_netlist::tech::RouteDir::Vertical)
+            .find(|&&z| grid.layers[z].dir == gnnmls_netlist::tech::RouteDir::Vertical)
             .ok_or(no_layer)?;
 
-        let grid = &self.grid;
         let mut path = vec![root];
         let mut cur = (x0, y0, z0);
         let push = |path: &mut Vec<u32>, p: (usize, usize, usize)| {
@@ -1294,22 +1413,18 @@ impl<'a> Router<'a> {
         Ok(path)
     }
 
-    // ---- costs, capacity, access ----
+    // ---- costs and access ----
 
     #[inline]
     fn congestion_factor(&self, usage: u16, cap: u16) -> f32 {
+        let s = self.state;
         let cap = cap.max(1);
         if usage < cap {
             let r = f32::from(usage) / f32::from(cap);
-            1.0 + (self.cfg.congestion_weight * self.congestion_scale) as f32 * r * r * r * r
+            1.0 + (s.cfg.congestion_weight * s.congestion_scale) as f32 * r * r * r * r
         } else {
-            (self.cfg.overflow_penalty * self.congestion_scale) as f32 * f32::from(usage - cap + 2)
+            (s.cfg.overflow_penalty * s.congestion_scale) as f32 * f32::from(usage - cap + 2)
         }
-    }
-
-    #[inline]
-    fn edge_idx(&self, z: usize, x: usize, y: usize) -> usize {
-        (z * self.grid.ny + y) * self.grid.nx + x
     }
 
     /// Cost of the wire edge leaving `(x, y, z)`; for horizontal layers
@@ -1323,51 +1438,54 @@ impl<'a> Router<'a> {
         horizontal: bool,
         exclude: Option<&ExcludedUsage>,
     ) -> f32 {
-        let idx = self.edge_idx(z, x_min, y_min);
+        let s = self.state;
+        let idx = s.edge_idx(z, x_min, y_min);
         let usage = if horizontal {
-            let u = self.usage_h[idx];
+            let u = s.usage_h[idx];
             exclude.map_or(u, |e| e.sub_h(idx, u))
         } else {
-            let u = self.usage_v[idx];
+            let u = s.usage_v[idx];
             exclude.map_or(u, |e| e.sub_v(idx, u))
         };
-        self.layer_cost[z] * self.congestion_factor(usage, self.grid.layers[z].capacity)
+        s.layer_cost[z] * self.congestion_factor(usage, s.grid.layers[z].capacity)
     }
 
     #[inline]
     fn via_cost(&self, z_low: usize, x: usize, y: usize, exclude: Option<&ExcludedUsage>) -> f32 {
-        if self.grid.is_f2f_via(z_low) {
-            let idx = y * self.grid.nx + x;
-            let u = self.usage_f2f[idx];
+        let s = self.state;
+        if s.grid.is_f2f_via(z_low) {
+            let idx = y * s.grid.nx + x;
+            let u = s.usage_f2f[idx];
             let usage = exclude.map_or(u, |e| e.sub_f2f(idx, u));
-            self.cfg.f2f_cost as f32 * self.congestion_factor(usage, self.grid.f2f_capacity)
+            s.cfg.f2f_cost as f32 * self.congestion_factor(usage, s.grid.f2f_capacity)
         } else {
-            self.cfg.via_cost as f32
+            s.cfg.via_cost as f32
         }
     }
 
     fn allowed(&self, net: NetId, ov: MlsOverride, x: usize, y: usize, z: usize) -> bool {
-        let Some(home) = self.home[net.index()] else {
+        let s = self.state;
+        let Some(home) = s.home[net.index()] else {
             return true;
         };
-        let z_tier = self.grid.tier_of_z(z);
+        let z_tier = s.grid.tier_of_z(z);
         match ov {
             MlsOverride::Allow => true,
             MlsOverride::Deny => z_tier == home,
-            MlsOverride::UsePolicy => match &self.policy {
+            MlsOverride::UsePolicy => match &s.policy {
                 MlsPolicy::Disabled => z_tier == home,
                 MlsPolicy::PerNet(flags) => z_tier == home || flags[net.index()],
                 MlsPolicy::SotaRegionSharing { .. } => {
                     // Defensive: SOTA without a share map can share
                     // nothing, which is the home-die-only rule.
-                    let Some(map) = self.share.as_ref() else {
+                    let Some(map) = s.share.as_ref() else {
                         return z_tier == home;
                     };
                     let donor_top = |tier: Tier| -> [usize; 2] {
-                        let ll = self.grid.logic_layers;
+                        let ll = s.grid.logic_layers;
                         match tier {
                             Tier::Logic => [ll - 1, ll.saturating_sub(2)],
-                            Tier::Memory => [ll, (ll + 1).min(self.grid.nz() - 1)],
+                            Tier::Memory => [ll, (ll + 1).min(s.grid.nz() - 1)],
                         }
                     };
                     if z_tier == home {
@@ -1381,58 +1499,6 @@ impl<'a> Router<'a> {
                 }
             },
         }
-    }
-
-    fn apply_usage(&mut self, tree: &RouteTree, delta: i32) {
-        for i in 1..tree.nodes.len() {
-            let a = tree.nodes[tree.parent[i] as usize];
-            let b = tree.nodes[i];
-            let (xa, ya, za) = self.grid.coords(a);
-            let (xb, yb, zb) = self.grid.coords(b);
-            if za == zb {
-                if ya == yb {
-                    let idx = self.edge_idx(za, xa.min(xb), ya);
-                    self.usage_h[idx] = add_u16(self.usage_h[idx], delta);
-                } else {
-                    let idx = self.edge_idx(za, xa, ya.min(yb));
-                    self.usage_v[idx] = add_u16(self.usage_v[idx], delta);
-                }
-            } else if self.grid.is_f2f_via(za.min(zb)) {
-                let idx = ya * self.grid.nx + xa;
-                self.usage_f2f[idx] = add_u16(self.usage_f2f[idx], delta);
-            }
-        }
-    }
-
-    fn rip_up(&mut self, net: NetId) {
-        if let Some(r) = self.routes[net.index()].take() {
-            self.apply_usage(&r.tree, -1);
-        }
-    }
-
-    fn tree_overflows(&self, tree: &RouteTree) -> bool {
-        for i in 1..tree.nodes.len() {
-            let a = tree.nodes[tree.parent[i] as usize];
-            let b = tree.nodes[i];
-            let (xa, ya, za) = self.grid.coords(a);
-            let (xb, yb, zb) = self.grid.coords(b);
-            if za == zb {
-                let cap = self.grid.layers[za].capacity;
-                let u = if ya == yb {
-                    self.usage_h[self.edge_idx(za, xa.min(xb), ya)]
-                } else {
-                    self.usage_v[self.edge_idx(za, xa, ya.min(yb))]
-                };
-                if u > cap {
-                    return true;
-                }
-            } else if self.grid.is_f2f_via(za.min(zb))
-                && self.usage_f2f[ya * self.grid.nx + xa] > self.grid.f2f_capacity
-            {
-                return true;
-            }
-        }
-        false
     }
 }
 
@@ -1457,7 +1523,7 @@ pub fn route_design(
     let mut router = Router::new(netlist, placement, tech, policy, cfg)?;
     router.route_all()?;
     let db = router.db()?;
-    Ok((db, router.grid))
+    Ok((db, router.into_state().grid))
 }
 
 #[cfg(test)]
@@ -1585,7 +1651,7 @@ mod tests {
     }
 
     #[test]
-    fn restored_router_answers_what_if_bit_identically() {
+    fn kept_state_view_answers_what_if_bit_identically() {
         let tech = TechConfig::heterogeneous_16_28(6, 6);
         let d = generate_maeri(&MaeriConfig::pe16_bw4(), &tech).unwrap();
         let p = place(&d.netlist, &PlaceConfig::default()).unwrap();
@@ -1593,33 +1659,32 @@ mod tests {
             target_gcells: 24,
             ..RouteConfig::default()
         };
-        let mut cold =
-            Router::new(&d.netlist, &p, &tech, MlsPolicy::Disabled, cfg.clone()).unwrap();
-        cold.route_all().unwrap();
-        let db = cold.db().unwrap();
-        let scale = cold.congestion_scale();
-
-        let mut warm = Router::new(&d.netlist, &p, &tech, MlsPolicy::Disabled, cfg).unwrap();
-        warm.restore_routes(&db, scale).unwrap();
-        assert_eq!(warm.congestion_scale(), scale);
-        assert_eq!(warm.db().unwrap(), db, "restored DB is byte-identical");
-
-        let nets: Vec<NetId> = d
+        let mut router = Router::new(&d.netlist, &p, &tech, MlsPolicy::Disabled, cfg).unwrap();
+        router.route_all().unwrap();
+        let db = router.db().unwrap();
+        let budgets = [router.config().max_expansions, 50];
+        let queries: Vec<(NetId, MlsOverride, usize)> = d
             .netlist
             .net_ids()
-            .filter(|&n| d.netlist.net_tier(n).is_some())
-            .take(40)
+            .flat_map(|n| {
+                [MlsOverride::Allow, MlsOverride::Deny]
+                    .into_iter()
+                    .flat_map(move |ov| budgets.map(|b| (n, ov, b)))
+            })
             .collect();
-        let mut sc = cold.scratch();
-        let mut sw = warm.scratch();
-        for n in nets {
-            let a = cold.what_if(&mut sc, n, MlsOverride::Allow);
-            let b = warm.what_if(&mut sw, n, MlsOverride::Allow);
-            match (a, b) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "what-if diverged on {n}"),
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!("what-if outcome diverged on {n}: {a:?} vs {b:?}"),
-            }
+        let mut sc = router.scratch();
+        let live: Vec<_> = queries
+            .iter()
+            .map(|&(n, ov, b)| router.what_if_budgeted(&mut sc, n, ov, b))
+            .collect();
+
+        // The router is gone; its state plus the DB's trees answer alone.
+        let state = router.into_state();
+        let view = state.view(&d.netlist, &p);
+        let mut sv = view.scratch();
+        for (&(n, ov, b), live) in queries.iter().zip(live) {
+            let kept = view.what_if(&mut sv, n, Some(&db.route(n).tree), ov, b);
+            assert_eq!(kept, live, "net {n} ov {ov:?} budget {b}");
         }
     }
 
@@ -1734,11 +1799,11 @@ mod tests {
                 // Historical semantics: detach the net, re-route, restore.
                 let saved = router.routes[net.index()].take();
                 if let Some(r) = &saved {
-                    router.apply_usage(&r.tree, -1);
+                    router.state.apply_usage(&r.tree, -1);
                 }
                 let expected = router.route_net(net, ov, false).unwrap();
                 if let Some(r) = &saved {
-                    router.apply_usage(&r.tree, 1);
+                    router.state.apply_usage(&r.tree, 1);
                 }
                 router.routes[net.index()] = saved;
                 assert_eq!(expected, got, "net {net} ov {ov:?}");

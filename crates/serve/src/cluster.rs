@@ -1321,6 +1321,23 @@ impl FrontTier {
     }
 }
 
+/// The shards [`ClusterFront::start`] has attached so far. Dropping it
+/// kills and reaps every spawned child, so each error return of `start`
+/// tears down what it started; once the front runs, `start` takes the
+/// shards out.
+struct StartingShards(Vec<ShardState>);
+
+impl Drop for StartingShards {
+    fn drop(&mut self) {
+        for shard in &self.0 {
+            if let Some(mut child) = lock(&shard.child).take() {
+                let _ = child.kill();
+                let _ = child.wait();
+            }
+        }
+    }
+}
+
 /// Picks a free TCP port on the loopback interface.
 fn free_loopback_addr() -> std::io::Result<SocketAddr> {
     let probe = TcpListener::bind("127.0.0.1:0")?;
@@ -1355,12 +1372,12 @@ impl ClusterFront {
         }
         // Spawn all children first so their cold starts overlap, then
         // wait for readiness.
-        let mut shards = Vec::with_capacity(backends.len());
+        let mut shards = StartingShards(Vec::with_capacity(backends.len()));
         let mut spawned = Vec::new();
         for (i, backend) in backends.into_iter().enumerate() {
             let id = i as u16;
             match backend {
-                ShardBackendSpec::External(addr) => shards.push(ShardState {
+                ShardBackendSpec::External(addr) => shards.0.push(ShardState {
                     id,
                     addr,
                     spawn: None,
@@ -1374,7 +1391,7 @@ impl ClusterFront {
                     let addr = free_loopback_addr()?;
                     let child = spawn_shard(&spawn, addr)?;
                     spawned.push(id);
-                    shards.push(ShardState {
+                    shards.0.push(ShardState {
                         id,
                         addr,
                         spawn: Some(spawn),
@@ -1389,18 +1406,12 @@ impl ClusterFront {
         }
         let ready_deadline = Instant::now() + SPAWN_READY_TIMEOUT;
         for &id in &spawned {
-            let shard = &shards[usize::from(id)];
+            let shard = &shards.0[usize::from(id)];
             loop {
                 if probe_health(shard.addr) {
                     break;
                 }
                 if Instant::now() >= ready_deadline {
-                    // Best-effort teardown of what we already spawned.
-                    for s in &shards {
-                        if let Some(c) = lock(&s.child).as_mut() {
-                            let _ = c.kill();
-                        }
-                    }
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::TimedOut,
                         format!("shard {id} at {} never became healthy", shard.addr),
@@ -1423,6 +1434,7 @@ impl ClusterFront {
         )?;
         let local_addr = plane.local_addr()?;
         let completions = Arc::clone(plane.completions());
+        let shards = std::mem::take(&mut shards.0);
         let ring = HashRing::new(shards.iter().map(|s| s.id));
         let shared = Arc::new(ClusterShared {
             cfg,

@@ -320,8 +320,9 @@ pub struct ServerStats {
     pub shed: u64,
     /// Worker threads respawned by the watchdog.
     pub watchdog_restarts: u64,
-    /// Warm-hit audits that found an invariant violation (the session
-    /// is dropped from the cache and rebuilt).
+    /// Background re-audits of cached sessions, run by the watchdog,
+    /// that found an invariant violation (the session is dropped from
+    /// the cache, and the next request for it rebuilds).
     pub audit_failures: u64,
     /// Queries answered from an already-warm session.
     pub cache_hits: u64,

@@ -21,10 +21,13 @@
 //! self-pipe [`gnnmls_reactor::Waker`].
 //!
 //! Sessions are cached warm in an LRU keyed by
-//! [`SessionSpec::cache_key`]; a hit answers a what-if with a usage-map
-//! restore plus one detached search instead of a full place + route +
-//! train, which is the ≥10× the bench records. Builds are serialized by
-//! a dedicated lock so a thundering herd on a cold spec builds once.
+//! [`SessionSpec::cache_key`]; a hit answers a what-if with one
+//! detached search over the routing state the session kept at build,
+//! instead of a full place + route + train, which is the ≥10× the bench
+//! records. Builds are serialized by a dedicated lock so a thundering
+//! herd on a cold spec builds once. A session enters the cache proven
+//! by the Full audit of its build; warm hits are not re-audited on the
+//! request path.
 //!
 //! Admission control runs at the connection, **before** a request takes
 //! a queue slot or the build lock: deep validation rejects unserviceable
@@ -40,7 +43,12 @@
 //! exponential cooldown expires — a poisoned spec cannot grind the
 //! build lock. A **watchdog** thread polls the worker pool; a worker
 //! that died with the queue still open is respawned and its in-flight
-//! job requeued at the front, so one panic loses no request.
+//! job requeued at the front, so one panic loses no request. A panic
+//! while a job is being handled is caught instead: the job gets one
+//! typed error, and is not requeued, since a panic that reproduces
+//! would crash-loop. The watchdog also re-audits one cached session per
+//! second, round robin, off the request path, and evicts one whose
+//! audit fails.
 //!
 //! Shutdown (a client `Shutdown` frame or [`Server::shutdown`]) is a
 //! drain, not an abort: the queue closes, the watchdog stops **before**
@@ -55,6 +63,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -253,6 +262,11 @@ impl ServeConfigBuilder {
 /// Seed for the quarantine jitter, mixed with the spec key.
 const QUARANTINE_SEED: u64 = 0x6d6c_735f_7365_7276;
 
+/// How often the watchdog re-audits one cached session. A Cheap audit
+/// takes 1–3 ms on the suite designs, so one per second costs the
+/// workers well under 1% of a core.
+const REAUDIT_INTERVAL: Duration = Duration::from_secs(1);
+
 // The unit tests pin the jitter mixer the breaker draws from.
 #[cfg(test)]
 use gnnmls_par::rng::splitmix64;
@@ -345,11 +359,27 @@ impl SessionCache {
         self.map.len()
     }
 
-    /// Drops a session whose warm-hit audit failed.
+    /// The session with the smallest key above `after`, wrapping to the
+    /// smallest key: the watchdog's round-robin re-audit order, stable
+    /// under LRU reordering.
+    fn next_after(&self, after: Option<u64>) -> Option<(u64, Arc<DesignSession>)> {
+        let above = self.map.keys().filter(|&&k| after.is_none_or(|a| k > a));
+        let key = *above.min().or_else(|| self.map.keys().min())?;
+        Some((key, Arc::clone(&self.map[&key])))
+    }
+
     fn remove(&mut self, key: u64) {
         self.map.remove(&key);
         if let Some(pos) = self.order.iter().position(|&k| k == key) {
             self.order.remove(pos);
+        }
+    }
+
+    /// Drops `key`'s session if it is still `session`: a re-audit that
+    /// failed must not evict a fresh build cached under the same key.
+    fn remove_if_same(&mut self, key: u64, session: &Arc<DesignSession>) {
+        if self.map.get(&key).is_some_and(|s| Arc::ptr_eq(s, session)) {
+            self.remove(key);
         }
     }
 }
@@ -408,7 +438,7 @@ struct ZooModel {
 }
 
 /// Why a job gets no session: its spec's circuit is open, or the cold
-/// build or the warm-hit audit failed.
+/// build failed.
 enum Refusal {
     Quarantined { strikes: u32, remaining_ms: u64 },
     Failed(SessionError),
@@ -486,19 +516,14 @@ impl Shared {
     }
 
     /// Warm lookup or serialized cold build of the session for `spec`,
-    /// gated by the quarantine breaker. Warm hits are re-audited in
-    /// cheap mode; a corrupted session is dropped from the cache and
-    /// the hit turns into a typed failure (the next request rebuilds).
+    /// gated by the quarantine breaker. A warm hit is answered as is:
+    /// its build's Full audit proved it, and the watchdog re-audits it
+    /// in the background (see [`Shared::reaudit_next`]).
     fn session(&self, spec: &SessionSpec) -> Result<Arc<DesignSession>, Refusal> {
         let key = spec.cache_key();
         if let Some(s) = lock(&self.cache).get(key) {
             self.counters.cache_hits.fetch_add(1, Ordering::SeqCst);
             CACHE_HITS.inc();
-            if let Err(e) = s.audit(AuditMode::Cheap) {
-                self.counters.audit_failures.fetch_add(1, Ordering::SeqCst);
-                lock(&self.cache).remove(key);
-                return Err(Refusal::Failed(e));
-            }
             return Ok(s);
         }
         if let Some((strikes, remaining_ms)) = self.quarantine_remaining(key) {
@@ -542,6 +567,23 @@ impl Shared {
                 Err(Refusal::Failed(e))
             }
         }
+    }
+
+    /// Cheap-audits the cached session after `after` in key order, and
+    /// returns its key for the next call (`None` on an empty cache). The
+    /// audit runs outside the cache lock. A failing session is counted
+    /// in `audit_failures` and evicted, so the next request rebuilds it.
+    fn reaudit_next(&self, after: Option<u64>) -> Option<u64> {
+        let (key, session) = lock(&self.cache).next_after(after)?;
+        if let Err(e) = session.audit(AuditMode::Cheap) {
+            self.counters.audit_failures.fetch_add(1, Ordering::SeqCst);
+            lock(&self.cache).remove_if_same(key, &session);
+            gnnmls_obs::warn(
+                "gnnmls-serve",
+                &format!("evicted cached session {key:#018x}: {e}"),
+            );
+        }
+        Some(key)
     }
 
     /// The zoo model currently serving `design`'s family, if one was
@@ -753,6 +795,10 @@ impl Shared {
         }
     }
 
+    /// Answers one popped job exactly once. A panic while answering is
+    /// caught and answered with a typed error, which also releases the
+    /// job's admission cost; the job is not requeued, since a panic
+    /// that reproduces would crash-loop the workers.
     fn handle(&self, job: Job) {
         let req = &job.req;
         if gnnmls_obs::enabled() {
@@ -768,7 +814,18 @@ impl Shared {
                 ],
             );
         }
-        let resp = match req.kind {
+        let resp = catch_unwind(AssertUnwindSafe(|| self.answer(req))).unwrap_or_else(|panic| {
+            let msg = gnnmls_par::panic_message(panic.as_ref());
+            Response::error(req.id, format!("job handling panicked: {msg}"))
+        });
+        self.respond(job, resp);
+    }
+
+    fn answer(&self, req: &Request) -> Response {
+        if fire(FaultSite::HandlerPanic) {
+            panic!("injected handler panic (gnnmls-faults)");
+        }
+        match req.kind {
             RequestKind::WhatIf => self.what_if_response(req),
             RequestKind::InferMls => self.infer_response(req),
             RequestKind::RunFlow => {
@@ -797,8 +854,7 @@ impl Shared {
                 req.id,
                 format!("`{}` is answered at the connection", kind_name(req.kind)),
             ),
-        };
-        self.respond(job, resp);
+        }
     }
 }
 
@@ -833,10 +889,13 @@ fn worker_loop(shared: &Shared, slot: &WorkerSlot) {
 /// Polls the worker pool; a worker that finished while the queue is
 /// still open can only have panicked (workers return only once the
 /// closed queue drains). Its in-flight job is requeued at the front and
-/// a fresh worker is spawned into the same slot. The loop exits as soon
-/// as shutdown begins, so the drain can join workers without racing a
-/// respawn.
+/// a fresh worker is spawned into the same slot. Every
+/// [`REAUDIT_INTERVAL`] it also re-audits the next cached session. The
+/// loop exits as soon as shutdown begins, so the drain can join workers
+/// without racing a respawn.
 fn watchdog_loop(shared: &Arc<Shared>, slots: &Arc<Vec<WorkerSlot>>) {
+    let mut next_audit = Instant::now() + REAUDIT_INTERVAL;
+    let mut audited = None;
     while shared.running.load(Ordering::SeqCst) {
         for (i, slot) in slots.iter().enumerate() {
             let dead = lock(&slot.handle).as_ref().is_some_and(|h| h.is_finished());
@@ -861,6 +920,10 @@ fn watchdog_loop(shared: &Arc<Shared>, slots: &Arc<Vec<WorkerSlot>>) {
                     .watchdog_restarts
                     .fetch_add(1, Ordering::SeqCst);
             }
+        }
+        if Instant::now() >= next_audit {
+            audited = shared.reaudit_next(audited);
+            next_audit = Instant::now() + REAUDIT_INTERVAL;
         }
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -1184,6 +1247,36 @@ mod tests {
         // again evicts nothing.
         assert_eq!(cache.insert(3, Arc::clone(&s)), 0);
         assert_eq!(cache.insert(4, s), 1);
+    }
+
+    #[test]
+    fn reaudit_order_is_round_robin_and_spares_a_replaced_session() {
+        let s = dummy_session();
+        let mut cache = SessionCache::new(4);
+        assert!(cache.next_after(None).is_none());
+        for key in [30, 10, 20] {
+            cache.insert(key, Arc::clone(&s));
+        }
+        // Key order, not recency: a hit does not reorder the round robin.
+        assert!(cache.get(10).is_some());
+        let mut after = None;
+        let visited: Vec<u64> = (0..4)
+            .map(|_| {
+                let (key, _) = cache.next_after(after).unwrap();
+                after = Some(key);
+                key
+            })
+            .collect();
+        assert_eq!(visited, [10, 20, 30, 10]);
+        // A failed re-audit evicts only the session it audited, not a
+        // fresh build cached under the same key meanwhile.
+        let fresh = Arc::new(DesignSession::build(&SessionSpec::fast("maeri16")).unwrap());
+        cache.insert(20, Arc::clone(&fresh));
+        cache.remove_if_same(20, &s);
+        assert!(cache.peek(20).is_some_and(|c| Arc::ptr_eq(&c, &fresh)));
+        cache.remove_if_same(20, &fresh);
+        assert!(cache.peek(20).is_none());
+        assert_eq!(cache.len(), 2);
     }
 
     fn bare_shared(cfg: ServeConfig) -> Shared {

@@ -3,8 +3,9 @@
 //! routing and relay for every request kind, bit-identity with a
 //! single daemon, failover to the deterministic secondary when the
 //! primary dies, the three injected fault seams, the merged drain
-//! envelope, and the drain-refusal regression for `client metrics`
-//! against a draining server.
+//! envelope, the drain-refusal regression for `client metrics`
+//! against a draining server, and the teardown of spawned shards when
+//! the front fails to start.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -12,7 +13,9 @@ use std::time::{Duration, Instant};
 use gnn_mls::checkpoint::load_stage;
 use gnn_mls::session::SessionSpec;
 use gnnmls_faults::{install_global, FaultPlan, FaultSite};
-use gnnmls_serve::cluster::{ClusterConfig, ClusterFront, ShardBackendSpec, CLUSTER_STATS_STAGE};
+use gnnmls_serve::cluster::{
+    ClusterConfig, ClusterFront, ShardBackendSpec, ShardSpawnSpec, CLUSTER_STATS_STAGE,
+};
 use gnnmls_serve::protocol::ResponseKind;
 use gnnmls_serve::{Client, ClusterStats, ServeConfig, Server};
 
@@ -385,4 +388,41 @@ fn metrics_against_a_draining_server_is_refused_immediately() {
         "refusal must be immediate, not wait out the drain"
     );
     server.wait();
+}
+
+#[test]
+fn failed_start_kills_and_reaps_every_spawned_shard() {
+    let _serial = serialize_tests();
+    let dir = std::env::temp_dir().join(format!("gnnmls-start-teardown-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let pidfile = dir.join("shard.pid");
+    // The shell records its pid, then execs the daemon under that pid.
+    let shard = ShardBackendSpec::Spawn(ShardSpawnSpec {
+        exe: "/bin/sh".into(),
+        args: vec![
+            "-c".into(),
+            format!("echo $$ > '{}'; exec \"$0\" \"$@\"", pidfile.display()),
+            env!("CARGO_BIN_EXE_gnnmls").into(),
+            "serve".into(),
+        ],
+    });
+    // The shard comes up healthy; the front's own bind then fails.
+    let cfg = ClusterConfig {
+        addr: "256.0.0.1:1".into(),
+        ..fast_cfg()
+    };
+    let started = ClusterFront::start(cfg, vec![shard]);
+    let pid = std::fs::read_to_string(&pidfile).unwrap();
+    let pid = pid.trim();
+    // Record, clean up, and only then assert: a failing run must not
+    // leave the shard behind.
+    let alive = std::path::Path::new(&format!("/proc/{pid}")).exists();
+    if alive {
+        let _ = std::process::Command::new("kill")
+            .args(["-9", pid])
+            .status();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(started.is_err(), "the front cannot bind 256.0.0.1:1");
+    assert!(!alive, "shard {pid} outlived the failed start");
 }

@@ -1,15 +1,17 @@
 //! Self-healing supervision contracts: the quarantine circuit breaker
 //! provably prevents rebuilding a poisoned spec until its cooldown
 //! expires, the watchdog respawns a dead worker without losing its
-//! in-flight job, and shutdown during an open quarantine cooldown
-//! drains promptly (the drain-deadlock regression).
+//! in-flight job, a panic while a job is handled still answers that job
+//! once, and shutdown during an open quarantine cooldown drains
+//! promptly (the drain-deadlock regression).
 
+use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use gnn_mls::session::SessionSpec;
 use gnnmls_faults::{install_global, FaultPlan, FaultSite};
-use gnnmls_serve::protocol::ResponseKind;
+use gnnmls_serve::protocol::{read_frame_idle, write_frame, Request, Response, ResponseKind};
 use gnnmls_serve::{Client, ServeConfig, Server};
 
 /// The seams fire on daemon threads, so these tests arm global fault
@@ -119,6 +121,43 @@ fn watchdog_respawns_a_dead_worker_without_losing_the_job() {
     // The respawned worker keeps serving.
     let r = client.what_if(&spec(), 2, true, None).unwrap();
     assert_eq!(r.kind, ResponseKind::Ok);
+    server.shutdown();
+}
+
+#[test]
+fn a_panic_while_handling_answers_the_job_once_and_frees_its_cost() {
+    let _serial = serialize_tests();
+    let server = Server::start(
+        ServeConfig::builder()
+            .read_timeout_ms(50)
+            .workers(1)
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let r = client.what_if(&spec(), 0, true, None).unwrap();
+    assert_eq!(r.kind, ResponseKind::Ok);
+
+    // The only worker panics inside the handler. The job must come back
+    // as one typed error well before this read deadline, not be lost.
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    let guard = install_global(&FaultPlan::single(FaultSite::HandlerPanic, 1));
+    write_frame(&mut raw, &Request::what_if(7, spec(), 1, true, None)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let answer = read_frame_idle::<Response, _, _>(&mut raw, || Instant::now() < deadline);
+    drop(guard);
+    let r = answer.unwrap().expect("a frame before the deadline");
+    assert_eq!((r.id, r.kind), (7, ResponseKind::Error), "{r:?}");
+    assert!(r.error.unwrap().contains("panicked"));
+
+    let h = client.health().unwrap().health.unwrap();
+    assert_eq!(h.admitted_cost, 0, "the job's admission cost was released");
+    assert_eq!(h.watchdog_restarts, 0, "the worker survived its panic");
+    let r = client.what_if(&spec(), 1, true, None).unwrap();
+    assert_eq!(r.kind, ResponseKind::Ok, "the worker keeps serving");
     server.shutdown();
 }
 
