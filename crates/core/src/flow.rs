@@ -33,7 +33,7 @@ use gnnmls_route::{
 use gnnmls_sta::{analyze, StaConfig, StaError, TimingReport};
 
 use crate::checkpoint::{load_stage, save_stage, CheckpointError, ModelCheckpoint};
-use crate::model::{GnnMls, ModelConfig, ModelError};
+use crate::model::{select_mls_nets, GnnMls, ModelConfig, ModelError};
 use crate::oracle::{label_paths, OracleConfig};
 use crate::paths::{extract_path_samples_par, PathSample};
 use crate::report::{DegradationSummary, FlowReport, PdnSummary, TrainSummary};
@@ -797,7 +797,7 @@ pub(crate) fn learn_decisions_with_model(
             .map_err(|e| e.to_string())
             .and_then(|mut model| {
                 model.set_threads(cfg.threads);
-                let selected = decide(&model, &infer).map_err(|e| e.to_string())?;
+                let selected = decide(&model, &infer, &[]).map_err(|e| e.to_string())?;
                 Ok((selected, model))
             });
         return Ok(match restored {
@@ -893,24 +893,10 @@ pub(crate) fn learn_decisions_with_model(
         model.save_json(path)?;
     }
 
-    // Decide over the full inference set; for the paths the oracle
-    // already labeled, use the exact labels (the model's job is to extend
-    // them to unlabeled paths, not to re-predict known answers).
-    let mut selected: HashSet<NetId> = decide(&model, &infer)?.into_iter().collect();
-    for s in &labeled {
-        if s.path.slack_ps >= 0.0 {
-            continue;
-        }
-        if let Some(l) = &s.labels {
-            for (i, &net) in s.nets.iter().enumerate() {
-                if l[i] {
-                    selected.insert(net);
-                }
-            }
-        }
-    }
-    let mut selected: Vec<NetId> = selected.into_iter().collect();
-    selected.sort();
+    // Decide over the full inference set, adding the oracle's positive
+    // labels on the paths it labeled (the model's job is to extend them
+    // to unlabeled paths, not to re-predict known answers).
+    let selected = decide(&model, &infer, &labeled)?;
     let retries = model.divergence_retries();
     Ok((
         DecisionsCheckpoint {
@@ -929,12 +915,26 @@ pub(crate) fn learn_decisions_with_model(
     ))
 }
 
-/// [`GnnMls::decide`] under a `decide` span.
-fn decide(model: &GnnMls, infer: &[PathSample]) -> Result<Vec<NetId>, ModelError> {
+/// The flow's MLS decisions, under a `decide` span: [`select_mls_nets`]
+/// over the model's probabilities on `infer`, with each node the oracle
+/// labeled positive in `labeled` (a prefix of `infer`) set to 1. The
+/// span's `selected` field counts the nets the model alone selects.
+fn decide(
+    model: &GnnMls,
+    infer: &[PathSample],
+    labeled: &[PathSample],
+) -> Result<Vec<NetId>, ModelError> {
     let mut s = gnnmls_obs::span("decide");
-    let selected = model.decide(infer)?;
-    s.field_u64("selected", selected.len() as u64);
-    Ok(selected)
+    let mut probs = model.predict_violating(infer)?;
+    s.field_u64("selected", select_mls_nets(infer, &probs).len() as u64);
+    for (p, sample) in probs.iter_mut().zip(labeled) {
+        if let (Some(p), Some(labels)) = (p, &sample.labels) {
+            for (v, _) in p.iter_mut().zip(labels).filter(|(_, &positive)| positive) {
+                *v = 1.0;
+            }
+        }
+    }
+    Ok(select_mls_nets(infer, &probs))
 }
 
 /// Sizes the PDN per tier to the IR budget; returns the memory-die
@@ -1012,6 +1012,59 @@ mod tests {
         let t = r.train.expect("training summary present");
         assert!(t.oracle.paths > 0);
         assert!(!format!("{r}").is_empty());
+    }
+
+    #[test]
+    fn decisions_are_the_models_nets_plus_the_oracles_positives() {
+        // Fast noc4x4 under GNN-MLS: the model and the oracle each select
+        // a net the other does not.
+        let spec = crate::SessionSpec::fast("noc4x4");
+        let d = spec.generate().unwrap();
+        let cfg = spec.flow_config();
+        let (netlist, placement) = prepare(&d, &cfg).unwrap();
+        let (decisions, model) =
+            learn_decisions_with_model(&netlist, &placement, &d.tech, &cfg).unwrap();
+        let model = model.expect("training converges");
+
+        // The stage's inference set and labeled prefix, rebuilt.
+        let base = route_and_time(
+            &netlist,
+            &placement,
+            &d.tech,
+            &MlsPolicy::Disabled,
+            &cfg,
+            "baseline",
+        )
+        .unwrap();
+        let total = base.timing.endpoint_count();
+        let k = cfg.inference_paths.min(total);
+        let infer =
+            extract_path_samples_par(&netlist, &placement, &d.tech, &base.timing, k, cfg.threads);
+        let train_k = cfg.train_paths.min(total);
+        let eval_k = cfg.eval_paths.min(total - train_k);
+        let mut labeled = infer[..train_k + eval_k].to_vec();
+        label_paths(
+            &mut labeled,
+            &netlist,
+            &base.router,
+            &base.routes,
+            &cfg.oracle,
+        )
+        .unwrap();
+
+        let by_model: HashSet<NetId> = model.decide(&infer).unwrap().into_iter().collect();
+        let by_oracle: HashSet<NetId> = labeled
+            .iter()
+            .filter(|s| s.path.slack_ps < 0.0)
+            .flat_map(|s| s.nets.iter().zip(s.labels.as_ref().unwrap()))
+            .filter(|(_, &positive)| positive)
+            .map(|(&net, _)| net)
+            .collect();
+        assert!(by_model.difference(&by_oracle).next().is_some());
+        assert!(by_oracle.difference(&by_model).next().is_some());
+        let mut union: Vec<NetId> = by_model.union(&by_oracle).copied().collect();
+        union.sort();
+        assert_eq!(decisions.selected, union);
     }
 
     #[test]

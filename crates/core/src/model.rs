@@ -11,7 +11,6 @@
 //! ([`ModelConfig::use_dgi`], [`ModelConfig::finetune_encoder`],
 //! [`ModelConfig::encoder`]).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -30,6 +29,35 @@ use crate::paths::PathSample;
 /// good epoch, with the learning rate halved each time) before the model
 /// is declared unusable.
 const MAX_DIVERGENCE_RETRIES: u32 = 3;
+
+/// The probability above which the model says "MLS helps this node":
+/// the threshold of the MLS decision rule ([`select_mls_nets`]) and of
+/// the metrics [`GnnMls::evaluate`] reports.
+pub(crate) const MLS_THRESHOLD: f32 = 0.5;
+
+/// The one MLS decision rule. A net is selected when its highest
+/// probability over the eligible nodes of violating paths exceeds
+/// [`MLS_THRESHOLD`]; `probs[i]` holds the per-node probabilities of
+/// `samples[i]`, or `None` where none were computed. Non-violating paths
+/// carry no decision: MLS exists to fix timing, and leaving passing
+/// paths alone is what keeps GNN-MLS from the indiscriminate regressions
+/// the SOTA shows (Table I). [`GnnMls::decide`],
+/// [`crate::DesignSession::infer_with`] and the flow's decisions stage
+/// all select through here. Returns the selected nets, sorted.
+pub(crate) fn select_mls_nets(samples: &[PathSample], probs: &[Option<Vec<f32>>]) -> Vec<NetId> {
+    let mut selected: Vec<NetId> = samples
+        .iter()
+        .zip(probs)
+        .filter(|(s, _)| s.path.slack_ps < 0.0)
+        .filter_map(|(s, p)| p.as_ref().map(|p| (s, p)))
+        .flat_map(|(s, p)| s.nets.iter().zip(&s.eligible).zip(p))
+        .filter(|&((_, &eligible), &p)| eligible && p > MLS_THRESHOLD)
+        .map(|((&net, _), _)| net)
+        .collect();
+    selected.sort_unstable();
+    selected.dedup();
+    selected
+}
 
 /// Typed model failures; the flow falls back to the heuristic policy on
 /// [`ModelError::Diverged`] instead of shipping NaN decisions.
@@ -519,15 +547,10 @@ impl GnnMls {
             .collect())
     }
 
-    /// Batched forward pass: per-node MLS probabilities for every
-    /// sample, fanned once across the `gnnmls-par` pool and returned in
-    /// input order.
-    ///
-    /// This is the serve daemon's micro-batching entry point: coalescing
-    /// K queued inference requests into one `predict_paths` call costs
-    /// one fork-join instead of K, and because the map is ordered the
-    /// results are bit-identical to K separate [`GnnMls::predict_path`]
-    /// calls.
+    /// Per-node MLS probabilities for every sample, fanned once across
+    /// the `gnnmls-par` pool and returned in input order, so the result
+    /// is bit-identical to separate [`GnnMls::predict_path`] calls for
+    /// any thread count. A warm session's inference runs through here.
     ///
     /// # Errors
     ///
@@ -559,8 +582,8 @@ impl GnnMls {
         let per_sample = self.map_samples(samples, |s| {
             let labels = s.labels.as_ref().ok_or(ModelError::MissingLabels)?;
             let probs = self.predict_path(s)?;
-            let logits =
-                Tensor::from_flat(probs.len(), 1, probs.iter().map(|&p| p - 0.5).collect());
+            let margins = probs.iter().map(|&p| p - MLS_THRESHOLD).collect();
+            let logits = Tensor::from_flat(probs.len(), 1, margins);
             Ok(Classification::from_logits(&logits, labels))
         });
         let mut m = Classification::default();
@@ -570,52 +593,37 @@ impl GnnMls {
         Ok(m)
     }
 
-    /// Aggregates per-path predictions into per-net MLS decisions: a net
-    /// is selected if its maximum probability over all appearances (on
-    /// eligible nodes of *violating* paths) exceeds 0.5. Non-violating
-    /// paths carry no decision — MLS exists to fix timing, and leaving
-    /// passing paths alone is what keeps GNN-MLS from the indiscriminate
-    /// regressions the SOTA shows (Table I).
+    /// Per-net MLS decisions: a net is selected when its highest
+    /// probability over the eligible nodes of violating paths exceeds
+    /// 0.5. Only the violating paths are predicted.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::NotTrained`] if the model has never been
-    /// fit.
+    /// fit, even when no path violates.
     pub fn decide(&self, samples: &[PathSample]) -> Result<Vec<NetId>, ModelError> {
+        Ok(select_mls_nets(samples, &self.predict_violating(samples)?))
+    }
+
+    /// The per-node probabilities of the violating paths of `samples`,
+    /// in input order, and `None` for the rest: what [`GnnMls::decide`]
+    /// and the flow's decisions stage apply [`select_mls_nets`] to.
+    pub(crate) fn predict_violating(
+        &self,
+        samples: &[PathSample],
+    ) -> Result<Vec<Option<Vec<f32>>>, ModelError> {
         if self.scaler.is_none() {
             return Err(ModelError::NotTrained);
         }
-        // Predict violating paths concurrently, then reduce serially in
-        // input order (max-per-net is order-independent anyway).
-        let probs_per_sample = self.map_samples(samples, |s| {
-            if s.path.slack_ps >= 0.0 {
-                Ok(None)
-            } else {
+        self.map_samples(samples, |s| {
+            if s.path.slack_ps < 0.0 {
                 self.predict_path(s).map(Some)
+            } else {
+                Ok(None)
             }
-        });
-        let mut best: HashMap<NetId, f32> = HashMap::new();
-        for (s, probs) in samples.iter().zip(probs_per_sample) {
-            let Some(probs) = probs? else {
-                continue;
-            };
-            for ((&net, &eligible), p) in s.nets.iter().zip(&s.eligible).zip(probs) {
-                if !eligible {
-                    continue;
-                }
-                let e = best.entry(net).or_insert(0.0);
-                if p > *e {
-                    *e = p;
-                }
-            }
-        }
-        let mut v: Vec<NetId> = best
-            .into_iter()
-            .filter(|&(_, p)| p > 0.5)
-            .map(|(n, _)| n)
-            .collect();
-        v.sort();
-        Ok(v)
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Total trainable scalars (encoder + head).

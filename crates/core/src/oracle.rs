@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use gnnmls_netlist::{NetId, Netlist};
 use gnnmls_route::router::MlsOverride;
-use gnnmls_route::{NetRoute, RouteDb, RouteError, Router};
+use gnnmls_route::{NetRoute, RouteDb, Router};
 
 use crate::flow::FlowError;
 use crate::paths::PathSample;
@@ -48,18 +48,47 @@ pub struct OracleStats {
     pub what_ifs: usize,
 }
 
+/// The single-net what-if both [`label_paths`] and [`net_mls_impact`]
+/// run: every distinct eligible net of `samples`, in first-occurrence
+/// order, with the index of the first sample that carries it and its
+/// detached re-route with MLS allowed. The re-routes fan out on
+/// [`gnnmls_route::RouteConfig::threads`] workers (read from the
+/// router's config) against the same committed state, so the result is
+/// bit-identical for any thread count.
+fn what_ifs(
+    samples: &[PathSample],
+    router: &Router<'_>,
+) -> Result<Vec<(NetId, usize, NetRoute)>, FlowError> {
+    let mut order: Vec<(NetId, usize)> = Vec::new();
+    let mut seen: HashSet<NetId> = HashSet::new();
+    for (s, sample) in samples.iter().enumerate() {
+        for (&net, &eligible) in sample.nets.iter().zip(&sample.eligible) {
+            if eligible && seen.insert(net) {
+                order.push((net, s));
+            }
+        }
+    }
+    let routes = gnnmls_par::recovering_par_map_with(
+        router.config().threads,
+        order.len(),
+        || router.scratch(),
+        |scratch, i| router.what_if(scratch, order[i].0, MlsOverride::Allow),
+    )?;
+    order
+        .into_iter()
+        .zip(routes)
+        .map(|((net, s), route)| Ok((net, s, route?)))
+        .collect()
+}
+
 /// Labels each sample's nodes with the iterative-STA ground truth.
 ///
-/// What-if routes are cached per net, so a net shared by several paths is
-/// re-routed once.
-///
-/// The what-if fan-out is the oracle's hot loop and runs on
+/// Each distinct eligible net is what-if re-routed once, concurrently on
 /// [`gnnmls_route::RouteConfig::threads`] workers (read from the
-/// router's config): every distinct eligible net is what-if routed
-/// concurrently against the same committed state, then each sample's
-/// slack deltas are evaluated concurrently from the shared cache. Both
-/// stages are pure per item, so labels, counts, and cache contents are
-/// bit-identical to the serial pass for any thread count.
+/// router's config), and shared by every path that carries it. The slack
+/// deltas are then evaluated serially: they cost a few percent of the
+/// re-routes. Labels, counts and what-if routes are bit-identical for
+/// any thread count.
 ///
 /// # Errors
 ///
@@ -74,68 +103,40 @@ pub fn label_paths(
     routes: &RouteDb,
     cfg: &OracleConfig,
 ) -> Result<OracleStats, FlowError> {
-    let threads = router.config().threads;
-
-    // Distinct eligible nets in first-occurrence order (the serial
-    // cache-miss order), each detached-re-routed exactly once.
-    let mut order: Vec<NetId> = Vec::new();
-    let mut seen: HashSet<NetId> = HashSet::new();
-    for sample in samples.iter() {
-        for (i, &net) in sample.nets.iter().enumerate() {
-            if sample.eligible[i] && seen.insert(net) {
-                order.push(net);
-            }
-        }
-    }
-    let cands: Vec<Result<NetRoute, RouteError>> = gnnmls_par::recovering_par_map_with(
-        threads,
-        order.len(),
-        || router.scratch(),
-        |scratch, i| router.what_if(scratch, order[i], MlsOverride::Allow),
-    )?;
-    let mut cache: HashMap<NetId, NetRoute> = HashMap::with_capacity(order.len());
-    for (net, cand) in order.iter().copied().zip(cands) {
-        cache.insert(net, cand?);
-    }
-
-    // Per-sample label evaluation is pure given the cache.
-    let samples_ro: &[PathSample] = samples;
-    let eval_one = |s: usize| -> Option<(Vec<bool>, usize, usize)> {
-        let sample = &samples_ro[s];
-        let base_slack = sample.path.slack_with(netlist, routes, &HashMap::new())?;
+    let what_ifs = what_ifs(samples, router)?;
+    let mut stats = OracleStats {
+        what_ifs: what_ifs.len(),
+        ..OracleStats::default()
+    };
+    let cache: HashMap<NetId, NetRoute> = what_ifs
+        .into_iter()
+        .map(|(net, _, route)| (net, route))
+        .collect();
+    for sample in samples.iter_mut() {
+        let slack = |subs: &HashMap<NetId, &NetRoute>| {
+            sample
+                .path
+                .slack_with(netlist, routes, subs)
+                .ok_or(FlowError::InconsistentPath)
+        };
+        let base_slack = slack(&HashMap::new())?;
         let mut labels = Vec::with_capacity(sample.len());
-        let (mut positive, mut negative) = (0usize, 0usize);
-        for (i, &net) in sample.nets.iter().enumerate() {
-            if !sample.eligible[i] {
+        for (&net, &eligible) in sample.nets.iter().zip(&sample.eligible) {
+            if !eligible {
                 labels.push(false);
                 continue;
             }
             let cand = &cache[&net];
-            let mut subs: HashMap<NetId, &NetRoute> = HashMap::new();
-            subs.insert(net, cand);
-            let gain = sample.path.slack_with(netlist, routes, &subs)? - base_slack;
+            let gain = slack(&HashMap::from([(net, cand)]))? - base_slack;
             let is_pos = cand.is_mls && gain > cfg.gain_threshold_ps;
             if is_pos {
-                positive += 1;
+                stats.positive += 1;
             } else {
-                negative += 1;
+                stats.negative += 1;
             }
             labels.push(is_pos);
         }
-        Some((labels, positive, negative))
-    };
-    let per_sample: Vec<Option<(Vec<bool>, usize, usize)>> =
-        gnnmls_par::recovering_par_map_with(threads, samples_ro.len(), || (), |(), s| eval_one(s))?;
-
-    let mut stats = OracleStats {
-        what_ifs: order.len(),
-        ..OracleStats::default()
-    };
-    for (sample, labeled) in samples.iter_mut().zip(per_sample) {
-        let (labels, positive, negative) = labeled.ok_or(FlowError::InconsistentPath)?;
         sample.labels = Some(labels);
-        stats.positive += positive;
-        stats.negative += negative;
         stats.paths += 1;
     }
     Ok(stats)
@@ -198,8 +199,9 @@ impl NetImpact {
     }
 }
 
-/// Evaluates single-net MLS impact for every eligible net on the given
-/// paths, sorted by gain (most-helped first).
+/// Evaluates single-net MLS impact for every distinct eligible net on
+/// the given paths, each against the first path that carries it, sorted
+/// by gain (most-helped first).
 ///
 /// # Errors
 ///
@@ -213,49 +215,25 @@ pub fn net_mls_impact(
     routes: &RouteDb,
     grid: &gnnmls_route::RoutingGrid,
 ) -> Result<Vec<NetImpact>, FlowError> {
-    // Each distinct eligible net is evaluated against the first sample
-    // that mentions it; the pairs are independent, so fan them out.
-    let mut order: Vec<(NetId, usize)> = Vec::new();
-    let mut seen: HashSet<NetId> = HashSet::new();
-    for (s, sample) in samples.iter().enumerate() {
-        for (i, &net) in sample.nets.iter().enumerate() {
-            if sample.eligible[i] && seen.insert(net) {
-                order.push((net, s));
-            }
-        }
-    }
-    let evaluated = gnnmls_par::recovering_par_map_with(
-        router.config().threads,
-        order.len(),
-        || router.scratch(),
-        |scratch, k| -> Result<NetImpact, FlowError> {
-            let (net, s) = order[k];
-            let sample = &samples[s];
-            let base_slack = sample
-                .path
-                .slack_with(netlist, routes, &HashMap::new())
-                .ok_or(FlowError::InconsistentPath)?;
-            let cand = router.what_if(scratch, net, MlsOverride::Allow)?;
-            let mut subs: HashMap<NetId, &NetRoute> = HashMap::new();
-            subs.insert(net, &cand);
-            let after = sample
-                .path
-                .slack_with(netlist, routes, &subs)
-                .ok_or(FlowError::InconsistentPath)?;
+    let slack = |s: usize, subs: &HashMap<NetId, &NetRoute>| {
+        samples[s]
+            .path
+            .slack_with(netlist, routes, subs)
+            .ok_or(FlowError::InconsistentPath)
+    };
+    let mut v = what_ifs(samples, router)?
+        .into_iter()
+        .map(|(net, s, cand)| {
             Ok(NetImpact {
                 net,
                 name: netlist.net(net).name.clone(),
-                slack_before_ps: base_slack,
-                slack_after_ps: after,
+                slack_before_ps: slack(s, &HashMap::new())?,
+                slack_after_ps: slack(s, &HashMap::from([(net, &cand)]))?,
                 metals_before: routes.route(net).tree.used_layers(grid),
                 metals_after: cand.tree.used_layers(grid),
             })
-        },
-    )?;
-    let mut v = Vec::with_capacity(evaluated.len());
-    for r in evaluated {
-        v.push(r?);
-    }
+        })
+        .collect::<Result<Vec<_>, FlowError>>()?;
     v.sort_by(|a, b| b.gain_ps().total_cmp(&a.gain_ps()).then(a.net.cmp(&b.net)));
     Ok(v)
 }

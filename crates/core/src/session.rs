@@ -28,7 +28,6 @@
 //! through the same [`RouteView`], given the net's tree from the route
 //! DB.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
 
@@ -46,7 +45,7 @@ use crate::checkpoint::fnv1a64;
 use crate::flow::{
     learn_decisions_with_model, prepare, route_and_time, FlowConfig, FlowError, FlowPolicy, Routed,
 };
-use crate::model::GnnMls;
+use crate::model::{select_mls_nets, GnnMls};
 use crate::paths::{extract_path_samples_par, PathSample};
 
 /// The named designs the CLI and the serve daemon can build.
@@ -636,34 +635,14 @@ impl DesignSession {
     pub fn infer_with(&self, model: &GnnMls, k: usize) -> Result<InferResult, SessionError> {
         let samples = &self.samples[..k.min(self.samples.len())];
         let probs = model.predict_paths(samples).map_err(FlowError::Model)?;
-        let mut best: HashMap<NetId, f32> = HashMap::new();
-        let mut max_prob = 0.0f32;
-        for (s, p) in samples.iter().zip(&probs) {
-            for &v in p {
-                max_prob = max_prob.max(v);
-            }
-            if s.path.slack_ps >= 0.0 {
-                continue;
-            }
-            for ((&net, &eligible), &v) in s.nets.iter().zip(&s.eligible).zip(p) {
-                if !eligible {
-                    continue;
-                }
-                let e = best.entry(net).or_insert(0.0);
-                if v > *e {
-                    *e = v;
-                }
-            }
-        }
-        let mut selected: Vec<u32> = best
-            .into_iter()
-            .filter(|&(_, p)| p > 0.5)
-            .map(|(n, _)| n.index() as u32)
-            .collect();
-        selected.sort_unstable();
+        let max_prob = probs.iter().flatten().fold(0.0f32, |m, &v| m.max(v));
+        let probs: Vec<Option<Vec<f32>>> = probs.into_iter().map(Some).collect();
         Ok(InferResult {
             paths: samples.len() as u64,
-            selected_nets: selected,
+            selected_nets: select_mls_nets(samples, &probs)
+                .into_iter()
+                .map(|n| n.index() as u32)
+                .collect(),
             max_prob: f64::from(max_prob),
         })
     }
@@ -925,6 +904,25 @@ mod tests {
             let own = session.infer(k).unwrap();
             assert_eq!(session.infer_with(&swapped, k).unwrap(), own, "k = {k}");
             assert_eq!(own.paths, k.min(samples) as u64);
+        }
+    }
+
+    #[test]
+    fn gnnmls_session_serves_the_models_own_decisions() {
+        // Fast maeri16 sessions select no net; fast noc4x4 ones do.
+        let spec = SessionSpec::fast("noc4x4").with_policy(FlowPolicy::GnnMls);
+        let session = DesignSession::build(&spec).unwrap();
+        let model = session.model().expect("gnn-mls session keeps its model");
+        for k in [1, 20, session.samples.len()] {
+            let served = session.infer_with(model, k).unwrap().selected_nets;
+            let decided: Vec<u32> = model
+                .decide(&session.samples[..k])
+                .unwrap()
+                .into_iter()
+                .map(|n| n.index() as u32)
+                .collect();
+            assert!(!served.is_empty(), "k = {k}: no net selected");
+            assert_eq!(served, decided, "k = {k}");
         }
     }
 

@@ -5,10 +5,11 @@
 //! the docs against.
 //!
 //! Argument parsing is hand-rolled (the workspace is dependency-minimal).
-//! Every verb returns its failure as a message; `main` prints it to
-//! stderr and exits 1.
+//! Every verb returns its failure as a message, a failed stdout write
+//! included; `main` prints it to stderr and exits 1.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -32,8 +33,25 @@ use zoobench::{run_zoo_bench, ZooBenchConfig};
 
 const DEFAULT_ADDR: &str = "127.0.0.1:7117";
 
+/// The binary's stdout: `writeln!(Out, ..)` writes and flushes, and
+/// hands a failed write (a closed pipe, a full disk under a redirect)
+/// to the verb's `Result`, so `main` reports it on stderr with exit 1
+/// where `println!` would panic. Every stdout line goes through here.
+struct Out;
+
+impl Out {
+    /// What `write!` and `writeln!` call.
+    fn write_fmt(&mut self, args: fmt::Arguments<'_>) -> Result<(), String> {
+        let mut stdout = std::io::stdout().lock();
+        stdout
+            .write_fmt(args)
+            .and_then(|()| stdout.flush())
+            .map_err(|e| format!("gnnmls: could not write to stdout: {e}"))
+    }
+}
+
 fn usage() -> &'static str {
-    "usage:\n  gnnmls flow --design <name> [--tech hetero|homo] [--policy no-mls|sota|gnn-mls]\n              [--freq <MHz>] [--dft net|wire] [--json <path>] [--verilog <path>]\n              [--save-model <path>] [--load-model <path>] [--resume <dir>] [--fast]\n  gnnmls serve [--addr 127.0.0.1:7117] [--queue <jobs>] [--workers <n>]\n               [--cache <sessions>] [--checkpoint <dir>] [--admit <cost units>]\n  gnnmls serve --cluster [--shards <n>] [--addr 127.0.0.1:7117]\n               [--queue <jobs>] [--workers <n>] [--cache <sessions>]\n               [--admit <cost units>] [--checkpoint <dir>]\n               # spawns <n> shard daemons, routes v2 frames by spec hash,\n               # fails over through per-shard circuit breakers\n  gnnmls bench suite [--manifest bench/suite.toml] [--profile ci]\n                     [--out target/bench/BENCH_suite.json] [--commit-baseline]\n  gnnmls bench diff  [--baseline bench/baseline.json]\n                     [--fresh target/bench/BENCH_suite.json]\n                     [--perturb <scenario>:<metric>:<delta>]   # gate self-test\n  gnnmls bench cluster [--shards <n>] [--clients <n>] [--requests <n>]\n                       [--seed <n>] [--no-kill]\n                       # mixed whatif/infer load with a kill-one-shard\n                       # schedule; writes target/bench/BENCH_cluster.json\n  gnnmls bench zoo [--swap-iters <n>] [--target-accuracy <frac>] [--max-epochs <n>]\n                   # pretrain-vs-scratch convergence + warm-swap latency;\n                   # writes target/bench/BENCH_zoo.json\n  gnnmls model train   [--corpus tiny|full] [--dir zoo] [--threads <n>]\n                       # build the cross-design corpus, DGI-pretrain once,\n                       # fine-tune per family, publish versioned checkpoints\n  gnnmls model list    [--dir zoo]\n  gnnmls model inspect --family <f> [--version <x.y.z>] [--dir zoo]\n  gnnmls model verify  [--dir zoo]    # re-hash every checkpoint vs the manifest\n  gnnmls fsck <dir> [--json <path>]   # crash-recovery scrub of a checkpoint,\n                       # registry, or ledger directory: deletes orphan *.tmp,\n                       # quarantines torn/hash-mismatched files to *.damaged,\n                       # rolls the zoo manifest back to last-good; exits\n                       # nonzero only when damage was unrepairable\n  gnnmls client whatif   [--addr <addr>] <spec flags> --net <id> [--no-mls] [--budget <expansions>]\n  gnnmls client infer    [--addr <addr>] <spec flags> [--paths <k>]\n  gnnmls client stats    [--addr <addr>] [<spec flags>]\n  gnnmls client flow     [--addr <addr>] <spec flags>\n  gnnmls client health   [--addr <addr>]\n  gnnmls client metrics  [--addr <addr>]\n  gnnmls client load-model [--addr <addr>] --model <checkpoint.ckpt>\n                       # hot-swap the checkpoint's family on a live daemon\n                       # (broadcasts to every shard through a cluster front)\n  gnnmls client shutdown [--addr <addr>]\n  gnnmls designs\n\n<spec flags>: [--design <name>] [--tech hetero|homo] [--policy no-mls|sota|gnn-mls]\n              [--freq <MHz>] [--fast]\nclient flags: [--retries <n>] [--retry-seed <n>] retry shed/stalled requests\n              with capped exponential backoff and deterministic jitter\n\nGNNMLS_THREADS=<n> caps worker-thread fan-out. Precedence: an explicit\nnon-zero FlowConfig::threads (or RouteConfig::threads) knob wins; when\nthe knob is 0 (auto, the default everywhere), GNNMLS_THREADS overrides\nthe all-cores default. A non-numeric value is rejected at startup.\nGNNMLS_FAULTS=<site:shots,...|seed:N> arms the deterministic fault harness.\nGNNMLS_TRACE=<path> appends structured spans/events/metrics as JSONL;\n`gnnmls client metrics` scrapes a live daemon's registry as text exposition.\n"
+    "usage:\n  gnnmls flow --design <name> [--tech hetero|homo] [--policy no-mls|sota|gnn-mls]\n              [--freq <MHz>] [--dft net|wire] [--json <path>] [--verilog <path>]\n              [--save-model <path>] [--load-model <path>] [--resume <dir>] [--fast]\n  gnnmls serve [--addr 127.0.0.1:7117] [--queue <jobs>] [--workers <n>]\n               [--cache <sessions>] [--checkpoint <dir>] [--admit <cost units>]\n  gnnmls serve --cluster [--shards <n>] [--addr 127.0.0.1:7117]\n               [--queue <jobs>] [--workers <n>] [--cache <sessions>]\n               [--admit <cost units>] [--checkpoint <dir>]\n               # spawns <n> shard daemons, routes v2 frames by spec hash,\n               # fails over through per-shard circuit breakers\n  gnnmls bench suite [--manifest bench/suite.toml] [--profile ci]\n                     [--out target/bench/BENCH_suite.json] [--commit-baseline]\n  gnnmls bench diff  [--baseline bench/baseline.json]\n                     [--fresh target/bench/BENCH_suite.json]\n                     [--perturb <scenario>:<metric>:<delta>]   # gate self-test\n  gnnmls bench cluster [--shards <n>] [--clients <n>] [--requests <n>]\n                       [--seed <n>] [--no-kill]\n                       # mixed whatif/infer load with a kill-one-shard\n                       # schedule; writes target/bench/BENCH_cluster.json\n  gnnmls bench zoo [--swap-iters <n>] [--target-accuracy <frac>] [--max-epochs <n>]\n                   # pretrain-vs-scratch convergence + warm-swap latency;\n                   # writes target/bench/BENCH_zoo.json\n  gnnmls model train   [--corpus tiny|full] [--dir zoo] [--threads <n>]\n                       # build the cross-design corpus, DGI-pretrain once,\n                       # fine-tune per family, publish versioned checkpoints\n  gnnmls model list    [--dir zoo]\n  gnnmls model inspect --family <f> [--version <x.y.z>] [--dir zoo]\n  gnnmls model verify  [--dir zoo]    # re-hash every checkpoint vs the manifest\n  gnnmls fsck <dir> [--json <path>]   # crash-recovery scrub of a checkpoint,\n                       # registry, or ledger directory: deletes orphan *.tmp,\n                       # quarantines torn/hash-mismatched files to *.damaged,\n                       # rolls the zoo manifest back to last-good; exits\n                       # nonzero when <dir> is not a directory or when\n                       # damage was unrepairable\n  gnnmls client whatif   [--addr <addr>] <spec flags> --net <id> [--no-mls] [--budget <expansions>]\n  gnnmls client infer    [--addr <addr>] <spec flags> [--paths <k>]\n  gnnmls client stats    [--addr <addr>] [<spec flags>]\n  gnnmls client flow     [--addr <addr>] <spec flags>\n  gnnmls client health   [--addr <addr>]\n  gnnmls client metrics  [--addr <addr>]\n  gnnmls client load-model [--addr <addr>] --model <checkpoint.ckpt>\n                       # hot-swap the checkpoint's family on a live daemon\n                       # (broadcasts to every shard through a cluster front)\n  gnnmls client shutdown [--addr <addr>]\n  gnnmls designs\n\n<spec flags>: [--design <name>] [--tech hetero|homo] [--policy no-mls|sota|gnn-mls]\n              [--freq <MHz>] [--fast]\nclient flags: [--retries <n>] [--retry-seed <n>] retry shed/stalled requests\n              with capped exponential backoff and deterministic jitter\n\nGNNMLS_THREADS=<n> caps worker-thread fan-out. Precedence: an explicit\nnon-zero FlowConfig::threads (or RouteConfig::threads) knob wins; when\nthe knob is 0 (auto, the default everywhere), GNNMLS_THREADS overrides\nthe all-cores default. A non-numeric value is rejected at startup.\nGNNMLS_FAULTS=<site:shots,...|seed:N> arms the deterministic fault harness.\nGNNMLS_TRACE=<path> appends structured spans/events/metrics as JSONL;\n`gnnmls client metrics` scrapes a live daemon's registry as text exposition.\n"
 }
 
 fn main() -> ExitCode {
@@ -58,7 +76,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     match args.first().map(String::as_str) {
         Some("designs") => {
             for (name, desc) in DESIGNS {
-                println!("{name:10} {desc}");
+                writeln!(Out, "{name:10} {desc}")?;
             }
             Ok(ExitCode::SUCCESS)
         }
@@ -193,14 +211,14 @@ fn serve_cmd(args: &[String]) -> Result<ExitCode, String> {
     }
     let server = Server::start(serve_config(&opts)?)
         .map_err(|e| format!("gnnmls serve: could not bind: {e}"))?;
-    println!("gnnmls-serve listening on {}", server.local_addr());
+    writeln!(Out, "gnnmls-serve listening on {}", server.local_addr())?;
     let stats = server.wait();
     eprintln!(
         "gnnmls-serve drained: {} served, {} busy, {} errors, {} cache hits / {} misses",
         stats.served, stats.busy, stats.errors, stats.cache_hits, stats.cache_misses
     );
     match serde_json::to_string_pretty(&stats) {
-        Ok(json) => println!("{json}"),
+        Ok(json) => writeln!(Out, "{json}")?,
         Err(e) => eprintln!("could not serialize final stats: {e}"),
     }
     Ok(ExitCode::SUCCESS)
@@ -261,7 +279,11 @@ fn serve_cluster_cmd(opts: &Opts) -> Result<ExitCode, String> {
         .collect();
     let front =
         ClusterFront::start(cfg, backends).map_err(|e| format!("gnnmls serve --cluster: {e}"))?;
-    println!("gnnmls-cluster front listening on {}", front.local_addr());
+    writeln!(
+        Out,
+        "gnnmls-cluster front listening on {}",
+        front.local_addr()
+    )?;
     for ((id, addr), pid) in front
         .shard_addrs()
         .iter()
@@ -286,7 +308,7 @@ fn serve_cluster_cmd(opts: &Opts) -> Result<ExitCode, String> {
         stats.shard_respawns
     );
     match serde_json::to_string_pretty(&stats) {
-        Ok(json) => println!("{json}"),
+        Ok(json) => writeln!(Out, "{json}")?,
         Err(e) => eprintln!("could not serialize final cluster stats: {e}"),
     }
     Ok(ExitCode::SUCCESS)
@@ -363,13 +385,12 @@ fn client_cmd(args: &[String]) -> Result<ExitCode, String> {
     // Metrics prints the exposition text raw so the output pipes
     // straight into a Prometheus-style scraper.
     if verb == "metrics" && resp.kind == ResponseKind::Ok {
-        let _ = write!(std::io::stdout(), "{}", resp.metrics.unwrap_or_default());
+        write!(Out, "{}", resp.metrics.unwrap_or_default())?;
         return Ok(ExitCode::SUCCESS);
     }
     let json = serde_json::to_string_pretty(&resp)
         .map_err(|e| format!("could not serialize response: {e}"))?;
-    // Tolerate a closed stdout (e.g. `gnnmls client stats | head`).
-    let _ = writeln!(std::io::stdout(), "{json}");
+    writeln!(Out, "{json}")?;
     Ok(exit_code(resp.kind == ResponseKind::Ok))
 }
 
@@ -408,10 +429,11 @@ fn bench_suite_cmd(args: &[String]) -> Result<ExitCode, String> {
         let wns = s.metrics.get("wns_ps").copied().unwrap_or(f64::NAN);
         let wl = s.metrics.get("wirelength_m").copied().unwrap_or(f64::NAN);
         let f2f = s.metrics.get("f2f_pads").copied().unwrap_or(f64::NAN);
-        println!(
+        writeln!(
+            Out,
             "{:24} {:8} {:8} WNS {wns:9.1} ps  WL {wl:7.3} m  F2F {f2f:6.0}  ({:.1}s)",
             s.name, s.design, s.policy, s.wall_clock_s
-        );
+        )?;
     }
     let mut targets = vec![PathBuf::from(out)];
     if flags.contains(&"commit-baseline") {
@@ -448,11 +470,13 @@ fn bench_cluster_cmd(args: &[String]) -> Result<ExitCode, String> {
     cfg.shard_exe = std::env::current_exe()
         .map_err(|e| format!("gnnmls bench cluster: cannot locate own binary: {e}"))?;
     let report = run_cluster_bench(&cfg).map_err(|e| format!("gnnmls bench cluster: {e}"))?;
-    println!(
+    writeln!(
+        Out,
         "cluster bench: {} shards, {} clients, {} requests  p50 {:.1} ms  p99 {:.1} ms",
         report.shards, report.clients, report.requests, report.p50_ms, report.p99_ms
-    );
-    println!(
+    )?;
+    writeln!(
+        Out,
         "  ok {}  shed {}  errored {}  shed-rate {:.3}  failovers {} ({} cold)  \
          respawns {}  lost-after-retry {}",
         report.ok,
@@ -463,12 +487,13 @@ fn bench_cluster_cmd(args: &[String]) -> Result<ExitCode, String> {
         report.failover_cold,
         report.shard_respawns,
         report.lost_after_retry
-    );
+    )?;
     for s in &report.per_shard {
-        println!(
+        writeln!(
+            Out,
             "  shard {}: served {}  hit-rate {:.3}  crashes {}  respawns {}",
             s.id, s.served, s.hit_rate, s.crashes, s.respawns
-        );
+        )?;
     }
     eprintln!("cluster ledger written to target/bench/BENCH_cluster.json");
     // The run is a robustness gate, not just a ledger: a request lost
@@ -505,11 +530,13 @@ fn bench_zoo_cmd(args: &[String]) -> Result<ExitCode, String> {
     cfg.target_accuracy =
         opt(&opts, "target-accuracy", in_unit, bad_accuracy)?.unwrap_or(cfg.target_accuracy);
     let report = run_zoo_bench(&cfg).map_err(|e| format!("gnnmls bench zoo: {e}"))?;
-    println!(
+    writeln!(
+        Out,
         "zoo bench: {} designs / {} samples, families {:?}, DGI loss {:.4}",
         report.corpus_designs, report.corpus_samples, report.families, report.pretrain_loss
-    );
-    println!(
+    )?;
+    writeln!(
+        Out,
         "  to {:.0}% accuracy: scratch {} epochs (acc {:.3}, converged {})  \
          pretrained {} epochs (acc {:.3}, converged {})",
         report.target_accuracy * 100.0,
@@ -519,11 +546,12 @@ fn bench_zoo_cmd(args: &[String]) -> Result<ExitCode, String> {
         report.pretrained.epochs,
         report.pretrained.accuracy,
         report.pretrained.converged
-    );
-    println!(
+    )?;
+    writeln!(
+        Out,
         "  warm swap over {} iters: p50 {} us  max {} us",
         report.swap_iters, report.swap_p50_us, report.swap_max_us
-    );
+    )?;
     eprintln!("zoo ledger written to target/bench/BENCH_zoo.json");
     Ok(ExitCode::SUCCESS)
 }
@@ -586,14 +614,15 @@ fn model_train_cmd(registry: &Registry, opts: &Opts) -> Result<ExitCode, String>
         let entry = registry
             .publish(&fam.to_zoo_checkpoint(version))
             .map_err(|e| format!("gnnmls model train: publish {}: {e}", fam.family))?;
-        println!(
+        writeln!(
+            Out,
             "{:6} v{}  {} params  f1 {:.3}  -> {}",
             entry.family,
             entry.version,
             entry.parameter_count,
             fam.metrics.f1(),
             registry.entry_path(&entry).display()
-        );
+        )?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -606,10 +635,11 @@ fn model_list_cmd(registry: &Registry) -> Result<ExitCode, String> {
         eprintln!("no models published under {}", registry.dir().display());
     }
     for e in &manifest.entries {
-        println!(
+        writeln!(
+            Out,
             "{:6} v{:8} {:10} params  {} corpus design(s)  {}",
             e.family, e.version, e.parameter_count, e.corpus_designs, e.file
-        );
+        )?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -625,17 +655,17 @@ fn model_inspect_cmd(registry: &Registry, opts: &Opts) -> Result<ExitCode, Strin
     let cp = registry
         .load(family, version)
         .map_err(|e| format!("gnnmls model inspect: {e}"))?;
-    println!("family:           {}", cp.family);
-    println!("version:          {}", cp.version);
-    println!("pretrain epochs:  {}", cp.pretrain_epochs);
-    println!("finetune epochs:  {}", cp.finetune_epochs);
-    println!("corpus designs:   {}", cp.corpus_hashes.len());
+    writeln!(Out, "family:           {}", cp.family)?;
+    writeln!(Out, "version:          {}", cp.version)?;
+    writeln!(Out, "pretrain epochs:  {}", cp.pretrain_epochs)?;
+    writeln!(Out, "finetune epochs:  {}", cp.finetune_epochs)?;
+    writeln!(Out, "corpus designs:   {}", cp.corpus_hashes.len())?;
     for h in &cp.corpus_hashes {
-        println!("  content hash:   {h:016x}");
+        writeln!(Out, "  content hash:   {h:016x}")?;
     }
     let model = GnnMls::from_checkpoint(cp.model)
         .map_err(|e| format!("gnnmls model inspect: checkpoint does not restore: {e}"))?;
-    println!("parameters:       {}", model.parameter_count());
+    writeln!(Out, "parameters:       {}", model.parameter_count())?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -643,11 +673,12 @@ fn model_verify_cmd(registry: &Registry) -> Result<ExitCode, String> {
     let report = registry
         .verify()
         .map_err(|e| format!("gnnmls model verify: {e}"))?;
-    println!(
+    writeln!(
+        Out,
         "checked {} checkpoint(s) under {}",
         report.checked,
         registry.dir().display()
-    );
+    )?;
     if !report.ok() {
         let problems: Vec<String> = report
             .problems
@@ -656,7 +687,7 @@ fn model_verify_cmd(registry: &Registry) -> Result<ExitCode, String> {
             .collect();
         return Err(problems.join("\n"));
     }
-    println!("all checkpoints match the manifest");
+    writeln!(Out, "all checkpoints match the manifest")?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -669,6 +700,11 @@ fn fsck_cmd(args: &[String]) -> Result<ExitCode, String> {
     let (opts, _) =
         split_opts(&args[1..], &["json"], &[]).map_err(|e| format!("{e}\n{FSCK_USAGE}"))?;
     let path = Path::new(dir);
+    // The scrub treats a missing directory as an empty one, which a first
+    // `--resume` run relies on; named here, it is a typo to report.
+    if !path.is_dir() {
+        return Err(format!("gnnmls fsck: {dir}: no such directory"));
+    }
     // A directory that carries (or carried) a zoo manifest gets the
     // registry-aware scrub — rollback to last-good, orphan adoption,
     // manifest rebuild. Anything else (resume dirs, bench ledgers,
@@ -684,15 +720,17 @@ fn fsck_cmd(args: &[String]) -> Result<ExitCode, String> {
     } else {
         gnn_mls::store::scrub_dir(path).map_err(|e| format!("gnnmls fsck: {e}"))?
     };
-    println!(
+    writeln!(
+        Out,
         "fsck {}: {} artifact(s) scanned, {} valid, {} repaired, {} unrepairable",
         report.dir, report.scanned, report.valid, report.repaired, report.unrepairable
-    );
+    )?;
     for f in &report.findings {
-        println!(
+        writeln!(
+            Out,
             "  {:<16} {:<16} {}  ({})",
             f.class, f.action, f.file, f.detail
-        );
+        )?;
     }
     if let Some(out) = opts.get("json") {
         gnn_mls::checkpoint::write_json_file(Path::new(out), &report)
@@ -734,7 +772,7 @@ fn bench_diff_cmd(args: &[String]) -> Result<ExitCode, String> {
         eprintln!("perturbed {scenario}:{metric} by {delta:+}");
     }
     let diff = gnnmls_bench::diff_reports(&baseline, &fresh);
-    println!("{diff}");
+    writeln!(Out, "{diff}")?;
     Ok(exit_code(diff.passed()))
 }
 
@@ -789,7 +827,7 @@ fn run_flow_cmd(args: &[String]) -> Result<ExitCode, String> {
         design.tech.name
     );
     let report = run_flow(&design, &cfg, spec.policy).map_err(|e| format!("flow failed: {e}"))?;
-    println!("{report}");
+    writeln!(Out, "{report}")?;
 
     if let Some(path) = opts.get("json") {
         match serde_json::to_string_pretty(&report) {

@@ -3,7 +3,9 @@
 //! followed by the usage text where the verb appends it. No case needs a
 //! daemon: client verbs point at a closed port, and a request that
 //! cannot be sent must fail before the client connects. A bad serve knob
-//! must fail before `serve --cluster` spawns a shard.
+//! must fail before `serve --cluster` spawns a shard. A stdout that
+//! cannot be written fails the same way: exit 1, one stderr line, no
+//! panic.
 
 use std::process::Output;
 
@@ -114,6 +116,11 @@ fn misuse_exits_1_with_exactly_its_message() {
         ),
         (&["flow", "--bogus"], "unknown option --bogus", true),
         (&["fsck"], "usage: gnnmls fsck <dir> [--json <path>]", false),
+        (
+            &["fsck", "missing"],
+            "gnnmls fsck: missing: no such directory",
+            false,
+        ),
     ];
     for (case, &(args, message, with_usage)) in cases.iter().enumerate() {
         let stderr = if with_usage {
@@ -125,8 +132,23 @@ fn misuse_exits_1_with_exactly_its_message() {
     }
     let args = ["fsck", "{tmp}", "--bogus"];
     assert_fails(
-        &gnnmls(16, &args),
+        &gnnmls(cases.len() + 2, &args),
         &args,
         "unknown option --bogus\nusage: gnnmls fsck <dir> [--json <path>]\n",
     );
+}
+
+#[test]
+fn a_closed_stdout_exits_1_without_a_panic() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gnnmls"))
+        .arg("designs")
+        .stdout(writer)
+        .output()
+        .expect("gnnmls runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
 }
